@@ -76,19 +76,14 @@ pub struct LpWorkStats {
     /// Solves that re-entered from the previous entry's optimal basis
     /// instead of a cold start.
     pub warm_start_hits: usize,
-    /// Basis-inverse refactorizations across all solves.
+    /// From-scratch LU refactorizations across all solves.
     pub refactorizations: usize,
-    /// Product-form basis updates (one per true pivot): eta-file updates on
-    /// the sparse-LU backend, dense `B⁻¹` transformations on the dense one.
+    /// Eta-file basis updates (one per true pivot) across all solves.
     pub basis_updates: usize,
     /// Peak stored nonzeros of any one solve's LU factorization (factors
     /// plus eta file). A *maximum*, not a sum: it bounds the basis memory
     /// any single solve needed.
     pub fill_in_nnz: usize,
-    /// Constraint rows removed by presolve, summed across solves.
-    pub presolve_rows_removed: usize,
-    /// Variables removed by presolve, summed across solves.
-    pub presolve_cols_removed: usize,
 }
 
 impl LpWorkStats {
@@ -105,8 +100,6 @@ impl LpWorkStats {
         self.refactorizations += other.refactorizations;
         self.basis_updates += other.basis_updates;
         self.fill_in_nnz = self.fill_in_nnz.max(other.fill_in_nnz);
-        self.presolve_rows_removed += other.presolve_rows_removed;
-        self.presolve_cols_removed += other.presolve_cols_removed;
     }
 
     /// The counters as the primitive `u64` mirror used by release traces.
@@ -121,8 +114,6 @@ impl LpWorkStats {
             refactorizations: self.refactorizations as u64,
             basis_updates: self.basis_updates as u64,
             fill_in_nnz: self.fill_in_nnz as u64,
-            presolve_rows_removed: self.presolve_rows_removed as u64,
-            presolve_cols_removed: self.presolve_cols_removed as u64,
         }
     }
 
@@ -138,8 +129,6 @@ impl LpWorkStats {
         self.refactorizations += stats.refactorizations;
         self.basis_updates += stats.basis_updates;
         self.fill_in_nnz = self.fill_in_nnz.max(stats.fill_in_nnz);
-        self.presolve_rows_removed += stats.presolve_rows_removed;
-        self.presolve_cols_removed += stats.presolve_cols_removed;
         if stats.warm_started {
             self.warm_start_hits += 1;
         }
@@ -179,7 +168,7 @@ pub struct RefreshSeed {
 
 impl RefreshSeed {
     /// Picks the cheapest re-derivation tier that is still guaranteed
-    /// bit-identical to a cold recompute of `query` (per backend):
+    /// bit-identical to a cold recompute of `query`:
     /// structurally unchanged queries republish, warm-exact weight changes
     /// over an unchanged variable space re-enter from the retained bases,
     /// everything else rebuilds through the standard cold chains.
@@ -200,7 +189,7 @@ impl RefreshSeed {
 
 /// Which re-derivation tier a
 /// [`FrozenSequences::refresh`](crate::cache::FrozenSequences::refresh)
-/// took. Every tier releases bit-identically (per backend) to a cold
+/// took. Every tier releases bit-identically to a cold
 /// recompute on the post-delta query; the tiers differ only in how much LP
 /// work that costs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -809,7 +798,6 @@ mod tests {
     use rand::SeedableRng;
     use rmdp_graph::{generators, Pattern};
     use rmdp_krelation::{KRelation, Tuple};
-    use rmdp_lp::SolverBackend;
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
@@ -1058,10 +1046,7 @@ mod tests {
         // Differential test on the *real* sequence models: every H_i/G_i
         // value produced by the warm-started revised chain must match a cold
         // dense-tableau solve of the same entry model.
-        let oracle = SimplexOptions {
-            backend: SolverBackend::DenseTableau,
-            ..SimplexOptions::default()
-        };
+        let oracle = SimplexOptions::default();
         for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
             let relation = fig4_relation(pattern);
             let n = relation.num_participants();
@@ -1069,7 +1054,7 @@ mod tests {
             for i in 0..=n {
                 let h_chain = seq.h(i).unwrap();
                 let (h_model, offset) = seq.lps.build_h_model(i);
-                let h_dense = h_model.solve_with(&oracle).unwrap().objective + offset;
+                let h_dense = h_model.solve_tableau(&oracle).unwrap().objective + offset;
                 assert!(
                     (h_chain - h_dense).abs() < 1e-6,
                     "H_{i}: chain {h_chain} vs dense {h_dense}"
@@ -1078,7 +1063,7 @@ mod tests {
                 let g_dense = seq
                     .lps
                     .build_g_model(i)
-                    .solve_with(&oracle)
+                    .solve_tableau(&oracle)
                     .unwrap()
                     .objective;
                 assert!(
@@ -1086,42 +1071,6 @@ mod tests {
                     "G_{i}: chain {g_chain} vs dense {g_dense}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn sparse_lu_and_dense_inverse_chains_agree_on_fig4_models() {
-        // The two revised backends share pivot logic but run independent
-        // linear algebra (LU substitution vs an explicit inverse), so entry
-        // values can differ by rounding ulps once pivots turn fractional;
-        // whole warm chains are held to a relative 1e-12 — far below the
-        // 1e-7 feasibility tolerance and the release's noise floor. (True
-        // bit-identity across *runs of the same backend* is covered by
-        // `parallel_precompute_is_bit_identical_to_lazy_serial`.)
-        for pattern in [Pattern::triangle(), Pattern::k_star(2)] {
-            let relation = fig4_relation(pattern.clone());
-            let n = relation.num_participants();
-            let mut sparse = EfficientSequences::new(relation.clone());
-            let mut dense = EfficientSequences::new(relation).with_solver_options(SimplexOptions {
-                backend: SolverBackend::Revised,
-                ..SimplexOptions::default()
-            });
-            for i in 0..=n {
-                let (hs, hd) = (sparse.h(i).unwrap(), dense.h(i).unwrap());
-                assert!(
-                    (hs - hd).abs() <= 1e-12 * hd.abs().max(1.0),
-                    "{}: H_{i} sparse-LU {hs} vs dense B⁻¹ {hd}",
-                    pattern.name()
-                );
-                let (gs, gd) = (sparse.g(i).unwrap(), dense.g(i).unwrap());
-                assert!(
-                    (gs - gd).abs() <= 1e-12 * gd.abs().max(1.0),
-                    "{}: G_{i} sparse-LU {gs} vs dense B⁻¹ {gd}",
-                    pattern.name()
-                );
-            }
-            assert!(sparse.stats().fill_in_nnz > 0);
-            assert_eq!(dense.stats().fill_in_nnz, 0);
         }
     }
 

@@ -6,12 +6,9 @@
 //! warm-started chains — with wall times and pivot counts. The same file
 //! also carries the **basis scaling** section: synthetic 2-star counting
 //! `H`-models from 4.5k up to 101.5k hinge rows, solved cold and
-//! RHS-stepped warm on the sparse-LU backend (wall time, pivots, peak
-//! factor nonzeros, estimated basis memory), with the dense-`B⁻¹` oracle
-//! timed at the 4.5k point only (its `rows²` inverse is already 160 MB
-//! there). Gated on the sparse backend strictly beating dense wall-clock
-//! at 4.5k rows, agreeing with it on the objective, and completing the
-//! 100k-row instance.
+//! RHS-stepped warm on the sparse-LU revised simplex (wall time, pivots,
+//! peak factor nonzeros, estimated basis memory). Gated on every point
+//! reporting factor fill-in and on the 100k-row instance completing.
 //!
 //! **Sequence cache** (`BENCH_cache.json`): the repeated-workload bench.
 //! One cold release pays the full sequence precompute and populates the
@@ -91,7 +88,7 @@ use rmdp_krelation::annotate::AnnotatedDatabase;
 use rmdp_krelation::fingerprint::Fingerprint;
 use rmdp_krelation::tuple::{Tuple, Value};
 use rmdp_krelation::{Expr, KRelation};
-use rmdp_lp::{Model, Sense, SimplexOptions, SolverBackend};
+use rmdp_lp::{Model, Sense, SimplexOptions};
 use rmdp_noise::PrivacyBudget;
 use rmdp_observe::{MonotonicClock, NoopRecorder, SpanRecorder, Stage, Stopwatch};
 use rmdp_server::{serve, DpClient, DpServer, ServerConfig, WireResponse};
@@ -188,24 +185,12 @@ struct ScalingResult {
     sparse_pivots: usize,
     /// Peak stored nonzeros of the LU factors plus eta file.
     peak_factor_nnz: usize,
-    /// Estimated peak basis memory of the sparse backend
+    /// Estimated peak basis memory of the LU factorization
     /// (`peak_factor_nnz × 16` bytes: one f64 + one index per entry).
     sparse_mem_bytes: usize,
     /// Warm re-solve after stepping the mass row RHS by one.
     warm_wall_ms: f64,
     warm_pivots: usize,
-    /// The dense-`B⁻¹` oracle on the same instance; only run at the
-    /// smallest size (its inverse alone is `rows² × 8` bytes).
-    dense: Option<DensePoint>,
-}
-
-/// The dense-backend comparison point of one scaling instance.
-struct DensePoint {
-    wall_ms: f64,
-    pivots: usize,
-    /// `rows² × 8` bytes: the explicit inverse the backend maintains.
-    mem_bytes: usize,
-    objective: f64,
 }
 
 /// A synthetic 2-star counting `H`-model with the exact shape
@@ -245,14 +230,12 @@ fn two_star_h_model(centers: usize, leaves_per: usize, mass: f64) -> Model {
     model
 }
 
-/// Runs one scaling instance: a cold sparse-LU solve, a warm re-solve after
-/// stepping the mass row (the chain access pattern), and — when
-/// `with_dense` — the dense-`B⁻¹` oracle on the same cold start.
-fn run_scaling_point(centers: usize, leaves_per: usize, with_dense: bool) -> ScalingResult {
+/// Runs one scaling instance: a cold sparse-LU solve and a warm re-solve
+/// after stepping the mass row (the chain access pattern).
+fn run_scaling_point(centers: usize, leaves_per: usize) -> ScalingResult {
     let mass = centers as f64;
     let model = two_star_h_model(centers, leaves_per, mass);
     let sparse_opts = SimplexOptions::default();
-    debug_assert_eq!(sparse_opts.backend, SolverBackend::SparseLu);
 
     let prepared = model.prepare().expect("scaling model is well-formed");
 
@@ -278,25 +261,6 @@ fn run_scaling_point(centers: usize, leaves_per: usize, with_dense: bool) -> Sca
         "the stepped scaling solve must re-enter warm"
     );
 
-    let dense = with_dense.then(|| {
-        let dense_opts = SimplexOptions {
-            backend: SolverBackend::Revised,
-            ..SimplexOptions::default()
-        };
-        let watch = Stopwatch::start();
-        let sol = prepared
-            .solve(&dense_opts)
-            .expect("the dense oracle solves the same instance");
-        let wall_ms = watch.elapsed_seconds() * 1e3;
-        let dstats = sol.solution.stats;
-        DensePoint {
-            wall_ms,
-            pivots: dstats.phase1_iterations + dstats.phase2_iterations,
-            mem_bytes: dstats.rows * dstats.rows * 8,
-            objective: sol.solution.objective,
-        }
-    });
-
     ScalingResult {
         centers,
         leaves_per,
@@ -309,7 +273,6 @@ fn run_scaling_point(centers: usize, leaves_per: usize, with_dense: bool) -> Sca
         sparse_mem_bytes: stats.fill_in_nnz * 16,
         warm_wall_ms,
         warm_pivots: wstats.phase1_iterations + wstats.phase2_iterations,
-        dense,
     }
 }
 
@@ -1178,38 +1141,21 @@ fn main() {
     json.push_str("  ],\n");
 
     // --- Basis scaling: synthetic 2-star H-models, 4.5k → 101.5k rows ---
-    let scaling_points = [
-        (100usize, 10usize, true),
-        (150, 16, false),
-        (250, 29, false),
-    ];
+    let scaling_points = [(100usize, 10usize), (150, 16), (250, 29)];
     let scaling: Vec<ScalingResult> = scaling_points
         .iter()
-        .map(|&(centers, leaves_per, with_dense)| {
-            run_scaling_point(centers, leaves_per, with_dense)
-        })
+        .map(|&(centers, leaves_per)| run_scaling_point(centers, leaves_per))
         .collect();
 
     json.push_str("  \"scaling\": [\n");
     for (k, s) in scaling.iter().enumerate() {
-        let dense_json = match &s.dense {
-            Some(d) => format!(
-                concat!(
-                    "{{\"wall_ms\": {:.3}, \"pivots\": {}, ",
-                    "\"mem_bytes_est\": {}, \"objective\": {:.6}}}"
-                ),
-                d.wall_ms, d.pivots, d.mem_bytes, d.objective,
-            ),
-            None => "null".to_string(),
-        };
         json.push_str(&format!(
             concat!(
                 "    {{\"centers\": {}, \"leaves_per\": {}, \"rows\": {}, \"cols\": {}, ",
                 "\"objective\": {:.6}, ",
                 "\"sparse\": {{\"wall_ms\": {:.3}, \"pivots\": {}, ",
                 "\"peak_factor_nnz\": {}, \"mem_bytes_est\": {}}}, ",
-                "\"warm_step\": {{\"wall_ms\": {:.3}, \"pivots\": {}}}, ",
-                "\"dense\": {}}}{}\n"
+                "\"warm_step\": {{\"wall_ms\": {:.3}, \"pivots\": {}}}}}{}\n"
             ),
             s.centers,
             s.leaves_per,
@@ -1222,10 +1168,9 @@ fn main() {
             s.sparse_mem_bytes,
             s.warm_wall_ms,
             s.warm_pivots,
-            dense_json,
             if k + 1 < scaling.len() { "," } else { "" },
         ));
-        print!(
+        println!(
             "   scaling: {:>6} rows — sparse {:.1} ms / {} pivots \
              (peak factor nnz {}, ~{:.1} MB), warm step {:.2} ms / {} pivots",
             s.rows,
@@ -1236,15 +1181,6 @@ fn main() {
             s.warm_wall_ms,
             s.warm_pivots,
         );
-        match &s.dense {
-            Some(d) => println!(
-                "; dense B⁻¹ {:.1} ms / {} pivots (~{:.0} MB inverse)",
-                d.wall_ms,
-                d.pivots,
-                d.mem_bytes as f64 / 1e6,
-            ),
-            None => println!("; dense B⁻¹ skipped at this size"),
-        }
     }
     json.push_str("  ]\n}\n");
 
@@ -1502,32 +1438,10 @@ fn main() {
         );
         failed = true;
     }
-    // Scaling gates: the sparse-LU backend must strictly beat the dense
-    // B⁻¹ oracle wall-clock at the 4.5k-row point (where dense already
-    // pays a 160 MB inverse and rows² per pivot) while agreeing with it
-    // on the objective, and the 100k-row instance must have completed —
-    // run_scaling_point panics on a failed solve, so reaching here with
-    // the point present means it solved.
+    // Scaling gates: every point must report factor fill-in, and the
+    // 100k-row instance must have completed — run_scaling_point panics on a
+    // failed solve, so reaching here with the point present means it solved.
     for s in &scaling {
-        if let Some(d) = &s.dense {
-            if s.sparse_wall_ms >= d.wall_ms {
-                eprintln!(
-                    "PERF REGRESSION: sparse LU {:.1} ms not faster than dense B⁻¹ {:.1} ms \
-                     at {} rows",
-                    s.sparse_wall_ms, d.wall_ms, s.rows
-                );
-                failed = true;
-            }
-            let scale = s.objective.abs().max(d.objective.abs()).max(1.0);
-            if (s.objective - d.objective).abs() > 1e-9 * scale {
-                eprintln!(
-                    "CORRECTNESS REGRESSION: sparse objective {:.12} vs dense {:.12} \
-                     at {} rows",
-                    s.objective, d.objective, s.rows
-                );
-                failed = true;
-            }
-        }
         if s.peak_factor_nnz == 0 {
             eprintln!(
                 "CORRECTNESS REGRESSION: sparse solve at {} rows reported no factor fill-in",

@@ -3,20 +3,16 @@
 //! The efficient recursive mechanism (paper Sec. 5.3) computes each entry of
 //! the sequences `H` and `G` by solving a linear program with `O(L)`
 //! variables, where `L` is the total length of the annotations of the
-//! sensitive K-relation. This crate provides the solver: a sparse
+//! sensitive K-relation. This crate provides the solver: one sparse
 //! bounded-variable **revised simplex** ([`revised`]) over models with boxed
-//! variables and `≤ / ≥ / =` constraints. The basis is maintained as a
-//! sparse Markowitz **LU factorization** updated by a bounded eta file
-//! ([`SolverBackend::SparseLu`], the default); the dense `B⁻¹` revised
-//! backend ([`SolverBackend::Revised`]) and the original dense two-phase
-//! tableau ([`SolverBackend::DenseTableau`]) are retained as
-//! differential-testing oracles. A **presolve** pass (fixed variables,
-//! singleton rows/columns, duplicate-column merges) shrinks models in front
-//! of every [`Model::solve`]; [`PreparedLp`] applies its RHS-safe subset.
+//! variables and `≤ / ≥ / =` constraints, whose basis is maintained as a
+//! sparse Markowitz **LU factorization** updated by a bounded eta file. The
+//! original dense two-phase tableau ([`simplex`]) is retained as the
+//! differential-testing oracle, reached only through [`Model::solve_tableau`].
 //!
 //! Two ways in:
 //!
-//! * [`Model::solve`] — one-shot: standardize and solve.
+//! * [`Model::solve`] — one-shot: standardize and solve cold.
 //! * [`Model::prepare`] → [`PreparedLp`] — standardize once, then mutate the
 //!   right-hand side ([`PreparedLp::set_rhs`]) or objective
 //!   ([`PreparedLp::set_objective`]) and re-solve, warm-starting each solve
@@ -55,7 +51,6 @@ pub mod error;
 mod lu;
 pub mod model;
 pub mod prepared;
-mod presolve;
 pub mod revised;
 pub mod simplex;
 pub mod solution;
@@ -64,6 +59,6 @@ pub mod sparse;
 pub use error::LpError;
 pub use model::{Constraint, ConstraintOp, Model, Sense, Var};
 pub use prepared::{Basis, PreparedLp, PreparedSolution, VarStatus};
-pub use simplex::{SimplexOptions, SolverBackend};
+pub use simplex::SimplexOptions;
 pub use solution::{Solution, SolveStats};
 pub use sparse::CscMatrix;

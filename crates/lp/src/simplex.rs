@@ -1,10 +1,10 @@
-//! Solve dispatch and the dense two-phase tableau oracle.
+//! Solver options and the dense two-phase tableau oracle.
 //!
-//! [`solve`] routes a model to the configured [`SolverBackend`]: the sparse
-//! bounded-variable revised simplex of [`crate::revised`] by default, or the
-//! dense tableau below — retained as a structurally independent
-//! differential-testing oracle (the property tests pit the two against each
-//! other on random LPs and on the mechanism's real sequence models).
+//! Production solves run on the sparse bounded-variable revised simplex of
+//! [`crate::revised`]. The dense tableau below is retained as a structurally
+//! independent differential-testing oracle, reached only through
+//! [`crate::Model::solve_tableau`] (the property tests pit the two against
+//! each other on random LPs and on the mechanism's real sequence models).
 //!
 //! The dense oracle standardises a [`Model`] into equality form
 //! `min c'ᵀx'  s.t.  Ax' = b, x' ≥ 0` (shifting finite lower bounds to zero,
@@ -24,28 +24,6 @@ use crate::error::LpError;
 use crate::model::{ConstraintOp, Model, Sense};
 use crate::solution::{Solution, SolveStats};
 
-/// Which solver implementation a solve runs on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SolverBackend {
-    /// The bounded-variable revised simplex of [`crate::revised`] over a
-    /// **sparse Markowitz LU** basis factorization (`crate::lu`) maintained
-    /// by a bounded eta file (default): per-pivot work tracks the factor
-    /// nonzeros instead of `rows²`, which is what lets 100k-row instances
-    /// through. Supports [`crate::PreparedLp`] warm starts.
-    #[default]
-    SparseLu,
-    /// The same revised simplex over the dense column-major `B⁻¹` this
-    /// backend grew out of. Kept as a differential-testing oracle for the
-    /// LU path (identical pivot logic, independent linear algebra); also
-    /// supports warm starts. `O(rows²)` memory and per-pivot work.
-    Revised,
-    /// The dense two-phase tableau this crate started from. Kept as a
-    /// structurally independent differential-testing oracle (column splits,
-    /// explicit upper-bound rows, full tableau updates), so agreement with
-    /// the revised backends is strong evidence all are right.
-    DenseTableau,
-}
-
 /// Options controlling the simplex run.
 #[derive(Clone, Copy, Debug)]
 pub struct SimplexOptions {
@@ -56,28 +34,22 @@ pub struct SimplexOptions {
     pub bland_after: usize,
     /// Numerical tolerance for reduced costs, pivots and feasibility.
     pub tol: f64,
-    /// Which implementation solves the model.
-    pub backend: SolverBackend,
-    /// Revised backends only: pivots between drift checks of the maintained
-    /// basis representation. Each check costs O(nnz); a primal residual above
-    /// tolerance triggers a from-scratch refactorization (and a
-    /// recomputation of the primal point). Smaller values trade time for
-    /// numerical robustness on long pivot chains over badly scaled data.
+    /// Pivots between drift checks of the maintained LU factorization. Each
+    /// check costs O(nnz); a primal residual above tolerance triggers a
+    /// from-scratch refactorization (and a recomputation of the primal
+    /// point). Smaller values trade time for numerical robustness on long
+    /// pivot chains over badly scaled data. Ignored by the tableau oracle.
     pub refactor_every: usize,
-    /// Sparse-LU backend only: relative threshold of Markowitz pivoting. A
+    /// Relative threshold of Markowitz pivoting in the LU factorization. A
     /// candidate pivot must be at least this fraction of the largest
     /// magnitude in its column. Larger values favour stability, smaller
-    /// values favour sparsity; clamped to `[0, 1]`.
+    /// values favour sparsity; clamped to `[0, 1]`. Ignored by the tableau
+    /// oracle.
     pub markowitz_threshold: f64,
-    /// Sparse-LU backend only: maximum eta-file (product-form update)
-    /// length before a forced refactorization. Bounds both the per-solve
-    /// cost of applying updates and the error they can accumulate.
+    /// Maximum eta-file (product-form update) length before a forced
+    /// refactorization. Bounds both the per-solve cost of applying updates
+    /// and the error they can accumulate. Ignored by the tableau oracle.
     pub update_cap: usize,
-    /// Run the presolve pass (`crate::presolve`) before solving. Applies
-    /// to [`solve`]-path entries ([`crate::Model::solve`] /
-    /// [`crate::Model::solve_with`]) on every backend; [`crate::PreparedLp`]
-    /// always applies its own RHS-safe subset instead.
-    pub presolve: bool,
 }
 
 impl Default for SimplexOptions {
@@ -86,11 +58,9 @@ impl Default for SimplexOptions {
             max_iterations: 30_000,
             bland_after: 5_000,
             tol: 1e-9,
-            backend: SolverBackend::default(),
             refactor_every: 64,
             markowitz_threshold: 0.1,
             update_cap: 64,
-            presolve: true,
         }
     }
 }
@@ -239,7 +209,7 @@ fn standardize(model: &Model, minimize: bool, perturbation: f64) -> Result<Stand
     // Optional anti-degeneracy perturbation: a tiny, deterministic, strictly
     // increasing offset per row breaks the ratio-test ties that make highly
     // degenerate instances stall. Applied only on the retry path of
-    // [`solve`], so the common case stays exact.
+    // [`solve_dense`], so the common case stays exact.
     if perturbation > 0.0 {
         for (i, row) in rows.iter_mut().enumerate() {
             let rhs = row.last_mut().expect("row has rhs");
@@ -385,40 +355,6 @@ impl Tableau {
             self.pivot(row, col);
             iterations += 1;
         }
-    }
-}
-
-/// Solves a model on the backend selected by
-/// [`SimplexOptions::backend`], returning an optimal solution or an error.
-///
-/// When [`SimplexOptions::presolve`] is set (the default), the model is
-/// first reduced by the presolve pass; the reduced model is solved on the
-/// configured backend and the solution is mapped back through the postsolve
-/// record, with the objective re-evaluated against the original costs.
-pub fn solve(model: &Model, options: &SimplexOptions) -> Result<Solution, LpError> {
-    if !options.presolve {
-        return solve_backend(model, options);
-    }
-    let pre = crate::presolve::presolve(model)?;
-    let mut sol = solve_backend(&pre.reduced, options)?;
-    let values = pre.postsolve(&sol.values);
-    let objective = pre.objective_of(&values);
-    sol.stats.presolve_rows_removed = pre.rows_removed;
-    sol.stats.presolve_cols_removed = pre.cols_removed;
-    Ok(Solution {
-        objective,
-        values,
-        stats: sol.stats,
-    })
-}
-
-/// Backend dispatch without presolve.
-fn solve_backend(model: &Model, options: &SimplexOptions) -> Result<Solution, LpError> {
-    match options.backend {
-        SolverBackend::SparseLu | SolverBackend::Revised => {
-            crate::revised::solve_model(model, options)
-        }
-        SolverBackend::DenseTableau => solve_dense(model, options),
     }
 }
 
@@ -786,18 +722,12 @@ mod tests {
         let x = m.add_unit_var(1.0);
         m.add_ge([(x, 1.0)], 0.5);
         let s = m.solve().unwrap();
-        // Presolve dissolves this tiny model entirely; the counters say so.
-        assert_eq!(s.stats.presolve_rows_removed, 1);
-        assert_eq!(s.stats.presolve_cols_removed, 1);
-        let raw = m
-            .solve_with(&SimplexOptions {
-                presolve: false,
-                ..SimplexOptions::default()
-            })
-            .unwrap();
-        assert!(raw.stats.rows >= 1);
-        assert!(raw.stats.cols >= 1);
-        assert_close(raw.objective, s.objective);
+        assert_eq!((s.stats.rows, s.stats.cols), (1, 2));
+        let tableau = m.solve_tableau(&SimplexOptions::default()).unwrap();
+        // The oracle adds an upper-bound row for x, two slacks and one
+        // artificial for the `≥` row.
+        assert_eq!((tableau.stats.rows, tableau.stats.cols), (2, 4));
+        assert_close(tableau.objective, s.objective);
     }
 
     #[test]
@@ -814,7 +744,7 @@ mod tests {
         let x = m.add_var(2.5, 2.5, 1.0);
         let y = m.add_unit_var(1.0);
         m.add_ge([(x, 1.0), (y, 1.0)], 3.0);
-        let s = m.solve().unwrap();
+        let s = m.solve_tableau(&SimplexOptions::default()).unwrap();
         assert_close(s.value(x), 2.5);
         assert_close(s.value(y), 0.5);
     }

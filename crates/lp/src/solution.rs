@@ -5,7 +5,7 @@ use crate::model::Var;
 /// Counters describing the work done by one solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveStats {
-    /// Simplex pivots performed in phase 1 (for the revised backend: pivots
+    /// Simplex pivots performed in phase 1 (for the revised simplex: pivots
     /// plus bound flips spent restoring primal feasibility; 0 when a warm
     /// start re-entered feasible).
     pub phase1_iterations: usize,
@@ -14,31 +14,22 @@ pub struct SolveStats {
     /// Rows of the standardised system.
     pub rows: usize,
     /// Columns of the standardised system (excluding the right-hand side).
-    /// The revised backend adds exactly one slack per row and splits nothing,
-    /// so this is `model vars + rows`; the dense oracle is wider (free-var
-    /// splits and explicit upper-bound rows).
+    /// The revised simplex adds exactly one slack per row and splits
+    /// nothing, so this is `model vars + rows`; the tableau oracle is wider
+    /// (free-var splits, explicit upper-bound rows and artificials).
     pub cols: usize,
-    /// From-scratch basis factorizations triggered after entry (drift check
-    /// or eta-file cap), on either revised backend.
+    /// From-scratch LU factorizations triggered after entry (drift check or
+    /// eta-file cap); 0 on the tableau oracle.
     pub refactorizations: usize,
     /// Bound flips — iterations that moved a nonbasic variable to its other
-    /// bound without touching the basis (revised backends only).
+    /// bound without touching the basis (revised simplex only).
     pub bound_flips: usize,
-    /// Product-form basis updates applied (one per true pivot): eta-file
-    /// updates on the sparse-LU backend, dense `B⁻¹` eta transformations on
-    /// the dense revised backend.
+    /// Eta-file basis updates applied (one per true pivot); 0 on the
+    /// tableau oracle.
     pub basis_updates: usize,
     /// Peak stored nonzeros of the sparse LU factorization (factors plus
-    /// eta file) across the solve; 0 on the dense backends, which do not
-    /// track fill-in.
+    /// eta file) across the solve; 0 on the tableau oracle.
     pub fill_in_nnz: usize,
-    /// Constraint rows removed by presolve before the solve (full presolve
-    /// on the [`crate::Model::solve`] path; the RHS-safe
-    /// [`crate::PreparedLp`] subset never removes rows).
-    pub presolve_rows_removed: usize,
-    /// Variables removed by presolve before the solve (fixed, substituted
-    /// or merged away). `rows`/`cols` report the *reduced* system.
-    pub presolve_cols_removed: usize,
     /// Whether this solve re-entered from a caller-supplied basis
     /// ([`crate::PreparedLp::solve_warm`]).
     pub warm_started: bool,

@@ -160,7 +160,7 @@ proptest! {
 
 /// A random LP over *general* bounded variables: shifted boxes, one-sided
 /// bounds, fixed variables and free variables — every shape the two
-/// standardizations handle differently (the revised backend keeps bounds
+/// standardizations handle differently (the revised simplex keeps bounds
 /// native; the dense oracle shifts, reflects, splits and adds bound rows).
 #[derive(Clone, Debug)]
 struct BoundedLp {
@@ -207,6 +207,41 @@ fn bounded_lp() -> impl Strategy<Value = BoundedLp> {
         })
 }
 
+/// Grafts structure-rich columns and rows onto a random LP: two duplicate
+/// columns (identical pattern and cost) in a fresh row, a singleton row
+/// bounding the first of them, and a fixed variable sharing a row with the
+/// second.
+fn with_reductions(mut lp: BoundedLp, dup_cost: f64, singleton_cap: f64) -> BoundedLp {
+    let n = lp.bounds.len();
+    let (d1, d2, fixed) = (n, n + 1, n + 2);
+    for (coeffs, _, _) in &mut lp.constraints {
+        coeffs.extend([0.0; 3]);
+    }
+    lp.bounds.extend([(0.0, 1.0), (0.0, 1.0), (0.25, 0.25)]);
+    lp.objective.extend([dup_cost, dup_cost, 1.0]);
+    let row = |terms: &[usize]| {
+        let mut coeffs = vec![0.0; n + 3];
+        for &j in terms {
+            coeffs[j] = 1.0;
+        }
+        coeffs
+    };
+    lp.constraints.push((row(&[d1, d2]), 0, 1.5));
+    lp.constraints.push((row(&[d1]), 0, singleton_cap));
+    lp.constraints.push((row(&[fixed, d2]), 0, 2.0));
+    lp
+}
+
+/// Plain random bounded LPs and, half the time, the same with
+/// [`with_reductions`] grafted on.
+fn agreement_lp() -> impl Strategy<Value = BoundedLp> {
+    prop_oneof![
+        bounded_lp(),
+        (bounded_lp(), -2.0..2.0f64, 0.5..3.0f64)
+            .prop_map(|(lp, dup_cost, cap)| with_reductions(lp, dup_cost, cap)),
+    ]
+}
+
 fn build_bounded(lp: &BoundedLp) -> Model {
     let mut m = Model::new(Sense::Minimize);
     let vars: Vec<_> = lp
@@ -227,7 +262,7 @@ fn build_bounded(lp: &BoundedLp) -> Model {
     m
 }
 
-/// Feasibility of a point in the *original* (pre-presolve) bounded model.
+/// Feasibility of a point in the bounded model.
 fn bounded_feasible(lp: &BoundedLp, x: &[f64], tol: f64) -> bool {
     for ((lo, hi), v) in lp.bounds.iter().zip(x) {
         if *v < lo - tol || *v > hi + tol {
@@ -249,7 +284,7 @@ fn bounded_feasible(lp: &BoundedLp, x: &[f64], tol: f64) -> bool {
 }
 
 /// Whether a free/one-sided variable makes the instance unbounded is a
-/// question both backends must answer the same way, and on bounded optima
+/// question the solver and the oracle must answer the same way, and on bounded optima
 /// the values must agree. Iteration limits are treated as "no verdict".
 fn verdict(result: &Result<rmdp_lp::Solution, LpError>) -> Option<Result<f64, &LpError>> {
     match result {
@@ -260,111 +295,35 @@ fn verdict(result: &Result<rmdp_lp::Solution, LpError>) -> Option<Result<f64, &L
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// All three backends — sparse-LU revised (default), dense-`B⁻¹` revised
-    /// and the dense tableau — agree on every random bounded-variable LP:
-    /// same optimum within tolerance, or the same infeasible/unbounded
-    /// verdict.
+    /// The LU revised simplex and the dense tableau oracle agree on every
+    /// random bounded-variable LP, with or without duplicate columns,
+    /// singleton rows and fixed variables: same optimum within tolerance, or
+    /// the same infeasible/unbounded verdict. An optimal point is feasible
+    /// and reported for every model variable.
     #[test]
-    fn revised_and_dense_backends_agree(lp in bounded_lp()) {
+    fn revised_and_dense_backends_agree(lp in agreement_lp()) {
         let model = build_bounded(&lp);
-        let sparse = model.solve_with(&rmdp_lp::SimplexOptions {
-            backend: rmdp_lp::SolverBackend::SparseLu,
-            ..Default::default()
-        });
-        let revised = model.solve_with(&rmdp_lp::SimplexOptions {
-            backend: rmdp_lp::SolverBackend::Revised,
-            ..Default::default()
-        });
-        let dense = model.solve_with(&rmdp_lp::SimplexOptions {
-            backend: rmdp_lp::SolverBackend::DenseTableau,
-            ..Default::default()
-        });
-        for (name, other) in [("dense B⁻¹", &revised), ("dense tableau", &dense)] {
-            match (verdict(&sparse), verdict(other)) {
-                (Some(Ok(a)), Some(Ok(b))) => {
-                    prop_assert!((a - b).abs() < 1e-6,
-                        "optima differ: sparse-LU {a} vs {name} {b}");
-                }
-                (Some(Err(a)), Some(Err(b))) => {
-                    prop_assert_eq!(a, b, "verdicts differ vs {}", name);
-                }
-                (Some(a), Some(b)) => {
-                    prop_assert!(false, "sparse-LU says {a:?}, {name} says {b:?}");
-                }
-                // A backend giving up (iteration limit) is not a disagreement.
-                _ => {}
-            }
-        }
-    }
-
-    /// Presolve + postsolve is invisible: the reduced-then-reconstructed
-    /// solve reaches the same verdict and objective as the raw solver, and
-    /// the reconstructed point is feasible in the *original* model.
-    #[test]
-    fn presolve_reaches_the_same_answer_as_the_raw_solver(lp in bounded_lp()) {
-        let model = build_bounded(&lp);
-        let with = model.solve(); // presolve on by default
-        let without = model.solve_with(&rmdp_lp::SimplexOptions {
-            presolve: false,
-            ..Default::default()
-        });
-        match (verdict(&with), verdict(&without)) {
+        let options = rmdp_lp::SimplexOptions::default();
+        let sparse = model.solve_with(&options);
+        let dense = model.solve_tableau(&options);
+        match (verdict(&sparse), verdict(&dense)) {
             (Some(Ok(a)), Some(Ok(b))) => {
                 prop_assert!((a - b).abs() < 1e-6,
-                    "optima differ: presolved {a} vs raw {b}");
-                let sol = with.as_ref().unwrap();
+                    "optima differ: sparse-LU {a} vs dense tableau {b}");
+                let sol = sparse.as_ref().unwrap();
+                prop_assert_eq!(sol.values.len(), lp.bounds.len());
                 prop_assert!(bounded_feasible(&lp, &sol.values, 1e-6),
-                    "postsolved point {:?} violates the original model", sol.values);
+                    "sparse-LU point {:?} violates the model", sol.values);
             }
             (Some(Err(a)), Some(Err(b))) => {
                 prop_assert_eq!(a, b, "verdicts differ");
             }
             (Some(a), Some(b)) => {
-                prop_assert!(false, "presolved says {a:?}, raw says {b:?}");
+                prop_assert!(false, "sparse-LU says {a:?}, dense tableau says {b:?}");
             }
-            _ => {}
-        }
-    }
-
-    /// The same agreement on reduction-rich instances: duplicated columns, a
-    /// singleton row and a fixed variable grafted onto every model, so the
-    /// presolve passes all fire and must still be invisible.
-    #[test]
-    fn presolve_is_invisible_on_reduction_rich_models(lp in bounded_lp(), dup_cost in -2.0..2.0f64, singleton_cap in 0.5..3.0f64) {
-        let mut model = build_bounded(&lp);
-        // Two duplicate columns (identical pattern + cost) in a fresh row.
-        let d1 = model.add_var(0.0, 1.0, dup_cost);
-        let d2 = model.add_var(0.0, 1.0, dup_cost);
-        model.add_le([(d1, 1.0), (d2, 1.0)], 1.5);
-        // A singleton row bounding d1, and a fixed variable in that row's
-        // shadow to exercise substitution.
-        model.add_le([(d1, 1.0)], singleton_cap);
-        let fixed = model.add_var(0.25, 0.25, 1.0);
-        model.add_le([(fixed, 1.0), (d2, 1.0)], 2.0);
-
-        let with = model.solve();
-        let without = model.solve_with(&rmdp_lp::SimplexOptions {
-            presolve: false,
-            ..Default::default()
-        });
-        match (verdict(&with), verdict(&without)) {
-            (Some(Ok(a)), Some(Ok(b))) => {
-                prop_assert!((a - b).abs() < 1e-6,
-                    "optima differ: presolved {a} vs raw {b}");
-                let sol = with.as_ref().unwrap();
-                let raw = without.as_ref().unwrap();
-                prop_assert_eq!(sol.values.len(), raw.values.len(),
-                    "postsolve must report the full variable space");
-                prop_assert!((sol.values[fixed.index()] - 0.25).abs() < 1e-9);
-            }
-            (Some(Err(a)), Some(Err(b))) => {
-                prop_assert_eq!(a, b, "verdicts differ");
-            }
-            (Some(a), Some(b)) => {
-                prop_assert!(false, "presolved says {a:?}, raw says {b:?}");
-            }
+            // A solver giving up (iteration limit) is not a disagreement.
             _ => {}
         }
     }

@@ -39,7 +39,7 @@ pub fn sample_cauchy<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -74,10 +74,12 @@ mod tests {
         assert_eq!(sample_cauchy(0.0, &mut rng), 0.0);
     }
 
-    /// A generator whose first word is exactly zero — the draw that used to
-    /// produce `tan(−π/2)` — followed by ordinary nonzero words.
-    struct ZeroFirst {
-        calls: u64,
+    /// A generator whose first word is exactly zero — the uniform draw of
+    /// `0.0` that, unresampled, evaluates `tan(−π/2)` here and `ln 0` in
+    /// [`crate::laplace::sample_laplace`] — followed by ordinary nonzero
+    /// words.
+    pub(crate) struct ZeroFirst {
+        pub(crate) calls: u64,
     }
 
     impl RngCore for ZeroFirst {

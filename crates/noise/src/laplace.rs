@@ -9,7 +9,12 @@ use rand::Rng;
 /// Samples `Lap(scale)` via inverse-CDF sampling.
 ///
 /// `scale = 0` returns exactly `0`, which is convenient for "no noise"
-/// debugging runs.
+/// debugging runs. The inverse CDF `−b·sgn(u)·ln(1 − 2|u|)` needs `u` on the
+/// **open** interval `(−½, ½)`: `gen::<f64>()` is uniform on `[0, 1)`, and a
+/// draw of exactly `0` would give `u = −½` and `ln 0 = −∞`. That draw is
+/// resampled away, as in [`crate::cauchy::sample_standard_cauchy`]; it
+/// occurs with probability 2⁻⁵³, so every other draw — and the output
+/// distribution — is unchanged. Every returned sample is finite.
 pub fn sample_laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
     assert!(
         scale >= 0.0 && scale.is_finite(),
@@ -19,8 +24,13 @@ pub fn sample_laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
     if scale == 0.0 {
         return 0.0;
     }
-    // u uniform in (-0.5, 0.5]; inverse CDF of the Laplace distribution.
-    let u: f64 = rng.gen::<f64>() - 0.5;
+    // u uniform in (-0.5, 0.5); inverse CDF of the Laplace distribution.
+    let u = loop {
+        let draw: f64 = rng.gen::<f64>();
+        if draw > 0.0 {
+            break draw - 0.5;
+        }
+    };
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
 }
 
@@ -48,6 +58,16 @@ mod tests {
     fn zero_scale_is_noiseless() {
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(sample_laplace(0.0, &mut rng), 0.0);
+    }
+
+    #[test]
+    fn the_zero_draw_is_resampled() {
+        // Unresampled, a uniform draw of exactly 0 evaluates ln 0 = −∞.
+        let mut rng = crate::cauchy::tests::ZeroFirst { calls: 0 };
+        let sample = sample_laplace(1.0, &mut rng);
+        assert_eq!(rng.calls, 2, "the zero draw must be rejected");
+        assert!(sample.is_finite(), "sample {sample}");
+        assert_ne!(sample, 0.0);
     }
 
     #[test]

@@ -54,17 +54,13 @@ pub struct LpSummary {
     pub phase2_pivots: u64,
     /// Solves warm-started from the previous entry's basis.
     pub warm_start_hits: u64,
-    /// Basis refactorizations.
+    /// From-scratch LU refactorizations.
     pub refactorizations: u64,
-    /// Product-form basis updates (one per true pivot).
+    /// Eta-file basis updates (one per true pivot).
     pub basis_updates: u64,
     /// Peak stored nonzeros of any single solve's LU factorization
     /// (a maximum across solves, not a sum).
     pub fill_in_nnz: u64,
-    /// Constraint rows removed by presolve, summed across solves.
-    pub presolve_rows_removed: u64,
-    /// Variables removed by presolve, summed across solves.
-    pub presolve_cols_removed: u64,
 }
 
 impl LpSummary {
@@ -79,8 +75,6 @@ impl LpSummary {
         self.refactorizations += other.refactorizations;
         self.basis_updates += other.basis_updates;
         self.fill_in_nnz = self.fill_in_nnz.max(other.fill_in_nnz);
-        self.presolve_rows_removed += other.presolve_rows_removed;
-        self.presolve_cols_removed += other.presolve_cols_removed;
     }
 
     /// Internal coherence: pivots split into the two phases.
@@ -242,8 +236,7 @@ impl ReleaseTrace {
             out,
             ", \"lp\": {{\"h_solves\": {}, \"g_solves\": {}, \"total_pivots\": {}, \
              \"phase1_pivots\": {}, \"phase2_pivots\": {}, \"warm_start_hits\": {}, \
-             \"refactorizations\": {}, \"basis_updates\": {}, \"fill_in_nnz\": {}, \
-             \"presolve_rows_removed\": {}, \"presolve_cols_removed\": {}}}",
+             \"refactorizations\": {}, \"basis_updates\": {}, \"fill_in_nnz\": {}}}",
             self.lp.h_solves,
             self.lp.g_solves,
             self.lp.total_pivots,
@@ -252,9 +245,7 @@ impl ReleaseTrace {
             self.lp.warm_start_hits,
             self.lp.refactorizations,
             self.lp.basis_updates,
-            self.lp.fill_in_nnz,
-            self.lp.presolve_rows_removed,
-            self.lp.presolve_cols_removed
+            self.lp.fill_in_nnz
         );
         out.push_str(", \"noise\": [");
         for (i, n) in self.noise.iter().enumerate() {
@@ -331,11 +322,8 @@ impl ReleaseTrace {
         );
         let _ = writeln!(
             out,
-            "  lp basis        {} updates, peak factor nnz {}, presolve removed {} rows / {} cols",
-            self.lp.basis_updates,
-            self.lp.fill_in_nnz,
-            self.lp.presolve_rows_removed,
-            self.lp.presolve_cols_removed
+            "  lp basis        {} updates, peak factor nnz {}",
+            self.lp.basis_updates, self.lp.fill_in_nnz
         );
         for (i, n) in self.noise.iter().enumerate() {
             let label = if self.noise.len() == 1 {
@@ -412,8 +400,6 @@ mod tests {
                 refactorizations: 1,
                 basis_updates: 25,
                 fill_in_nnz: 40,
-                presolve_rows_removed: 0,
-                presolve_cols_removed: 2,
             },
             noise: vec![NoiseScales {
                 log_scale: 1.5,
@@ -476,8 +462,6 @@ mod tests {
             "lp",
             "basis_updates",
             "fill_in_nnz",
-            "presolve_rows_removed",
-            "presolve_cols_removed",
             "noise",
             "epsilon_spent",
             "group_split",
@@ -499,7 +483,6 @@ mod tests {
         assert!(text.contains("sequence_solve"));
         assert!(text.contains("epsilon_spent"));
         assert!(text.contains("peak factor nnz 40"));
-        assert!(text.contains("presolve removed 0 rows / 2 cols"));
         assert!(text.contains("100ns"));
         assert!(format_nanos(2_500).starts_with("2.5"));
         assert!(format_nanos(2_500_000).ends_with("ms"));
