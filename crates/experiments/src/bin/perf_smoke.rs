@@ -475,8 +475,10 @@ fn run_groupby_workload() -> GroupByBenchResult {
     // gets its own db — determinism must come from the seed alone).
     let watch = Stopwatch::start();
     let serial = SqlSession::with_seed(db.clone(), params, 7)
-        .query_grouped(sql)
-        .expect("serial grouped release");
+        .query(sql)
+        .expect("serial grouped release")
+        .grouped()
+        .unwrap();
     let serial_wall_ms = watch.elapsed_seconds() * 1e3;
 
     let watch = Stopwatch::start();
@@ -485,8 +487,10 @@ fn run_groupby_workload() -> GroupByBenchResult {
         params.with_parallelism(Parallelism::Threads(4)),
         7,
     )
-    .query_grouped(sql)
-    .expect("pooled grouped release");
+    .query(sql)
+    .expect("pooled grouped release")
+    .grouped()
+    .unwrap();
     let pooled_wall_ms = watch.elapsed_seconds() * 1e3;
 
     let bit_identical = serial.len() == pooled.len()
@@ -502,10 +506,18 @@ fn run_groupby_workload() -> GroupByBenchResult {
     let cache = SequenceCache::shared(16);
     let mut session = SqlSession::with_seed(db, params, 7).with_sequence_cache(Arc::clone(&cache));
     let reports = 8;
-    session.query_grouped(sql).expect("cold cached report");
+    session
+        .query(sql)
+        .expect("cold cached report")
+        .grouped()
+        .unwrap();
     let warm_watch = Stopwatch::start();
     for _ in 1..reports {
-        session.query_grouped(sql).expect("warm cached report");
+        session
+            .query(sql)
+            .expect("warm cached report")
+            .grouped()
+            .unwrap();
     }
     let warm_report_wall_ms = warm_watch.elapsed_seconds() * 1e3 / (reports - 1).max(1) as f64;
     let stats = cache.stats();
@@ -876,7 +888,11 @@ fn run_incremental_workload() -> IncrementalBenchResult {
         let cache = Arc::new(SequenceCache::new(16));
         let mut prime =
             SqlSession::over(Arc::clone(&base), 11).with_sequence_cache(Arc::clone(&cache));
-        prime.query_scalar(SQL).expect("priming release succeeds");
+        prime
+            .query(SQL)
+            .expect("priming release succeeds")
+            .scalar()
+            .unwrap();
 
         let mut snapshot = Arc::clone(&base);
         let mut next_star = initial_rows as i64;
@@ -906,13 +922,21 @@ fn run_incremental_workload() -> IncrementalBenchResult {
             let mut cold =
                 SqlSession::over(Arc::clone(&snapshot), seed).with_sequence_cache(cold_cache);
             let watch = Stopwatch::start();
-            let c = cold.query_scalar(SQL).expect("cold rebuild succeeds");
+            let c = cold
+                .query(SQL)
+                .expect("cold rebuild succeeds")
+                .scalar()
+                .unwrap();
             pass_cold_ms += watch.elapsed_seconds() * 1e3;
 
             let mut warm = SqlSession::over(Arc::clone(&snapshot), seed)
                 .with_sequence_cache(Arc::clone(&cache));
             let watch = Stopwatch::start();
-            let w = warm.query_scalar(SQL).expect("warm release succeeds");
+            let w = warm
+                .query(SQL)
+                .expect("warm release succeeds")
+                .scalar()
+                .unwrap();
             pass_warm_ms += watch.elapsed_seconds() * 1e3;
 
             if pass == 0 {

@@ -195,8 +195,9 @@ impl GroupBudgetPolicy {
 /// The accountant is deliberately sequential (plain sequential composition,
 /// the guarantee the recursive mechanism's per-release `ε₁ + ε₂` costs
 /// compose under); callers that parallelise work must still funnel their
-/// debits through one accountant, which is what `SqlSession::query_batch`
-/// does.
+/// debits through one accountant. `SqlSession` does: a batch that releases
+/// its items concurrently debits their summed price once, after every item
+/// has released.
 /// Spend is accumulated with **compensated (Kahan) summation**: a stream of
 /// `N` debits of `ε/N` sums to the correctly rounded total instead of
 /// drifting by an ulp per debit, so the last debit of an exact split is

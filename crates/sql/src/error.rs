@@ -90,8 +90,8 @@ pub enum SqlError {
         /// Span of the SELECT-list key.
         span: Span,
     },
-    /// A grouped query reached a scalar-only entry point (or vice versa);
-    /// the message names the entry point to use instead.
+    /// A grouped query reached `SqlSession::evaluate`, which returns one
+    /// relation; the message says what to evaluate instead.
     QueryShape {
         /// What went wrong and where to go.
         message: String,

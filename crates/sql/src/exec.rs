@@ -8,7 +8,7 @@
 //! for the private release.
 
 use crate::error::SqlError;
-use crate::plan::{GroupedQueryPlan, PlanAggregate, QueryPlan, ScanStep};
+use crate::plan::{PlanAggregate, QueryPlan, ScanStep};
 use rmdp_krelation::algebra::{rename, select, theta_join};
 use rmdp_krelation::annotate::AnnotatedDatabase;
 use rmdp_krelation::tuple::{Tuple, Value};
@@ -32,21 +32,6 @@ pub fn execute(db: &AnnotatedDatabase, plan: &QueryPlan) -> Result<KRelation, Sq
         acc = select(&acc, |t| plan.filter.iter().all(|p| p.matches(t)));
     }
     Ok(acc)
-}
-
-/// Evaluates every group of a grouped plan: one execution of the template
-/// with the dissolved key conjunct appended, per declared domain value, in
-/// domain order. Keys the data never mentions evaluate to empty relations —
-/// by design: the released report always covers exactly the declared public
-/// domain, so the *set* of released keys reveals nothing about the data.
-pub fn execute_grouped(
-    db: &AnnotatedDatabase,
-    plan: &GroupedQueryPlan,
-) -> Result<Vec<(Value, KRelation)>, SqlError> {
-    plan.domain
-        .iter()
-        .map(|value| Ok((value.clone(), execute(db, &plan.group_plan(value))?)))
-        .collect()
 }
 
 /// The per-tuple weight function of the plan's aggregate.

@@ -43,10 +43,12 @@
 //!
 //! let mut session = SqlSession::new(db, MechanismParams::paper_edge_privacy(1.0));
 //! let release = session
-//!     .query_scalar(
+//!     .query(
 //!         "SELECT COUNT(*) FROM visits v1 JOIN visits v2 ON v1.place = v2.place \
 //!          WHERE v1.person < v2.person",
 //!     )
+//!     .unwrap()
+//!     .scalar()
 //!     .unwrap();
 //! assert_eq!(release.true_answer, 1.0); // ada and bo met at the museum
 //! ```
@@ -68,9 +70,7 @@ pub use error::SqlError;
 pub use fingerprint::{plan_fingerprint, plan_key, PlanKey};
 pub use parser::parse;
 pub use plan::{plan, plan_query, AnyPlan, GroupedQueryPlan, QueryPlan};
-pub use session::{
-    BatchRelease, GroupRelease, GroupedRelease, QueryOutput, SqlSession, TracedOutput,
-};
+pub use session::{GroupRelease, GroupedRelease, QueryOutput, SqlSession, TracedOutput};
 pub use snapshot::CatalogSnapshot;
 pub use token::{Span, Token, TokenKind};
 

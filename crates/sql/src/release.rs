@@ -1,18 +1,19 @@
-//! The stateless release core shared by sessions, batches and servers.
+//! The stateless release functions behind every `SqlSession` release.
 //!
 //! These functions are the execution tail of every release path: they take
-//! *explicit* shared state (database, params, cache handle) and *explicit*
-//! per-release state (the noise RNG), own no session, and debit no budget —
+//! *explicit* shared state (a [`ReleaseEnv`]) and *explicit* per-release
+//! state (the noise RNG), own no session, and debit no budget — pricing,
 //! admission and accounting stay with the caller. That split is what lets
-//! [`SqlSession`](crate::SqlSession) methods, [`SqlSession::query_batch`]
-//! workers, grouped fan-out workers and `rmdp-server` request threads all
-//! run the *same* code under their own concurrency regimes.
+//! the one [`SqlSession`](crate::SqlSession) release core run the *same*
+//! code inline on the session RNG (`query`, `query_traced`), on pool
+//! workers (`query_batch`), and per group inside a grouped report's
+//! fan-out.
 
 use crate::error::SqlError;
 use crate::exec::{execute, weigh};
 use crate::fingerprint::{plan_key, PlanKey};
-use crate::plan::{GroupedQueryPlan, QueryPlan};
-use crate::session::{GroupRelease, GroupedRelease};
+use crate::plan::{AnyPlan, GroupedQueryPlan, QueryPlan};
+use crate::session::{GroupRelease, GroupedRelease, QueryOutput};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rmdp_core::{
@@ -21,36 +22,95 @@ use rmdp_core::{
     SimplexOptions,
 };
 use rmdp_krelation::annotate::AnnotatedDatabase;
-use rmdp_krelation::fingerprint::FingerprintHasher;
+use rmdp_krelation::fingerprint::{Fingerprint, FingerprintHasher};
 use rmdp_krelation::tuple::Value;
 use rmdp_noise::{GroupBudgetPolicy, PrivacyBudget};
-use rmdp_observe::{CacheOutcome, NoopRecorder, Recorder, Stage};
+use rmdp_observe::{CacheOutcome, NoiseScales, NoopRecorder, Recorder, Stage};
 use rmdp_runtime::par_try_map_indexed;
 use std::sync::Arc;
 
-/// What one [`release_plan`] call produced beyond the release itself: how
-/// the cache behaved, how much LP work ran on this call (zero on a hit),
-/// and — when the miss was served by re-deriving a parked pre-delta entry —
-/// which refresh tier did it.
-pub(crate) struct ReleaseOutcome {
-    pub(crate) release: Release,
-    pub(crate) cache: CacheOutcome,
-    pub(crate) lp: LpWorkStats,
-    pub(crate) refresh: Option<RefreshTier>,
+/// The read-only state every release reads: the database, the per-release
+/// parameters (whose `parallelism` is the worker budget of this call), the
+/// grouped-report policy and the optional shared sequence cache.
+#[derive(Clone, Copy)]
+pub(crate) struct ReleaseEnv<'a> {
+    pub(crate) db: &'a AnnotatedDatabase,
+    pub(crate) params: MechanismParams,
+    pub(crate) policy: GroupBudgetPolicy,
+    pub(crate) cache: Option<&'a SequenceCache>,
 }
 
-/// The trace-facing facts of one grouped report: aggregate cache behaviour,
-/// the domain-order fold of per-group LP work, and the ε split the policy
-/// chose.
-pub(crate) struct GroupedOutcome {
-    pub(crate) cache: CacheOutcome,
+impl ReleaseEnv<'_> {
+    /// This environment for one of `items` concurrent releases: the caller
+    /// that fans out owns the concurrency, so the worker budget is split
+    /// evenly across the items (serial below two workers each) and thread
+    /// counts do not multiply; a fan-out smaller than the budget hands the
+    /// spare workers to each release's own precompute.
+    pub(crate) fn per_item(self, items: usize) -> Self {
+        let per_item = self.params.parallelism.workers() / items.max(1);
+        ReleaseEnv {
+            params: self.params.with_parallelism(if per_item > 1 {
+                Parallelism::Threads(per_item)
+            } else {
+                Parallelism::Serial
+            }),
+            ..self
+        }
+    }
+}
+
+/// What a release produced beyond its output: the facts a session folds
+/// into its LP totals and metrics, and a traced query into its
+/// [`ReleaseTrace`](rmdp_observe::ReleaseTrace). Folding is in input order,
+/// so the totals are identical for every `Parallelism`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ReleaseFacts {
+    /// Mechanism releases performed (1 per scalar, `k` per grouped report).
+    pub(crate) releases: u64,
+    /// Cache probes that found a frozen table (one probe per release).
     pub(crate) cache_hits: u64,
+    /// Cache probes that found nothing.
     pub(crate) cache_misses: u64,
-    pub(crate) warm_refreshes: u64,
+    /// Misses served by re-deriving a parked pre-delta entry, by tier:
+    /// `Unchanged`, `WarmChain`, `ColdRebuild`.
+    pub(crate) refreshes: [u64; 3],
+    /// LP work run by these releases (zero on hits).
     pub(crate) lp: LpWorkStats,
-    pub(crate) fraction: f64,
-    pub(crate) group_epsilon1: f64,
-    pub(crate) group_epsilon2: f64,
+    /// The Laplace scales of every release, in release order.
+    pub(crate) noise: Vec<NoiseScales>,
+    /// The canonical plan fingerprint, when the facts describe exactly one
+    /// cached scalar query.
+    pub(crate) fingerprint: Option<Fingerprint>,
+}
+
+impl ReleaseFacts {
+    /// Appends `other`, which happened after everything folded so far.
+    pub(crate) fn absorb(&mut self, other: ReleaseFacts) {
+        self.fingerprint = if self.releases == 0 {
+            other.fingerprint
+        } else {
+            None
+        };
+        self.releases += other.releases;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        for (mine, theirs) in self.refreshes.iter_mut().zip(other.refreshes) {
+            *mine += theirs;
+        }
+        self.lp.absorb(&other.lp);
+        self.noise.extend(other.noise);
+    }
+
+    /// The overall cache outcome: a hit only when every probe hit.
+    pub(crate) fn cache_outcome(&self, cached: bool) -> CacheOutcome {
+        if !cached {
+            CacheOutcome::Uncached
+        } else if self.cache_misses == 0 {
+            CacheOutcome::Hit
+        } else {
+            CacheOutcome::Miss
+        }
+    }
 }
 
 /// The noise seed of one group: a stable hash of the report-level seed and
@@ -59,7 +119,7 @@ pub(crate) struct GroupedOutcome {
 /// per-key releases invariant under re-declaring the domain in a different
 /// order — and keeps the fan-out bit-identical for every `Parallelism`,
 /// since every group's stream is fixed before any worker starts.
-pub(crate) fn group_seed(report_seed: u64, key: &Value) -> u64 {
+fn group_seed(report_seed: u64, key: &Value) -> u64 {
     let mut hasher = FingerprintHasher::new();
     hasher.write_u64(report_seed);
     match key {
@@ -79,105 +139,149 @@ pub(crate) fn group_seed(report_seed: u64, key: &Value) -> u64 {
     hasher.finish().0 as u64
 }
 
-/// Executes a validated plan and releases its aggregate: the shared tail of
-/// `SqlSession::query` and each `SqlSession::query_batch` worker.
-///
-/// With a cache handle, a fingerprint hit serves the frozen `H`/`G` table
-/// directly — skipping plan execution *and* every sequence LP — and a miss
-/// computes the full table once (all `2(|P|+1)` entries, warm-started
-/// chains, up to `params.parallelism` workers), publishes it, and releases
-/// from the freshly frozen copy. Noise is drawn from `rng` identically on
-/// every path, so hit, miss and uncached releases are bit-identical under
-/// the same seed.
-pub(crate) fn release_plan<T: Recorder>(
-    db: &AnnotatedDatabase,
-    plan: &QueryPlan,
-    params: MechanismParams,
+/// Releases one planned query — a scalar aggregate or a whole grouped
+/// report — drawing its noise from `rng`. `price` is the query's ε price
+/// (from [`CatalogSnapshot::price`](crate::CatalogSnapshot::price)); a
+/// grouped report records it as what it spent.
+pub(crate) fn release_any<T: Recorder>(
+    env: ReleaseEnv<'_>,
+    plan: &AnyPlan,
+    price: PrivacyBudget,
     rng: &mut StdRng,
-    cache: Option<(&SequenceCache, &PlanKey)>,
     recorder: &mut T,
-) -> Result<ReleaseOutcome, SqlError> {
-    if let Some((cache, key)) = cache {
-        recorder.enter(Stage::CacheLookup);
-        let cached = cache.get(key.key);
-        recorder.exit(Stage::CacheLookup);
-        let (frozen, outcome, lp, refresh) = match cached {
-            Some(hit) => (hit, CacheOutcome::Hit, LpWorkStats::default(), None),
-            None => {
-                recorder.enter(Stage::Plan);
-                let query = build_sensitive_query(db, plan);
-                recorder.exit(Stage::Plan);
-                recorder.enter(Stage::SequenceSolve);
-                // A parked pre-delta entry of the same lineage (swept by
-                // `purge_stale` on snapshot swap) turns this miss into a
-                // warm refresh; either path is bit-identical to a cold
-                // compute on the post-delta data, so the choice is purely
-                // a matter of LP work.
-                let computed = query.and_then(|query| match cache.take_refresh_base(key.lineage) {
-                    Some((base, seed)) => base
-                        .refresh(&seed, query, SimplexOptions::default(), params.parallelism)
-                        .map(|(frozen, next_seed, stats)| {
-                            (frozen, next_seed, stats.lp, Some(stats.tier))
-                        })
-                        .map_err(SqlError::from),
-                    None => FrozenSequences::compute_with_seed(
-                        EfficientSequences::new(query),
-                        params.parallelism,
-                    )
-                    .map(|(frozen, seed, stats)| (frozen, seed, stats, None))
-                    .map_err(SqlError::from),
-                });
-                recorder.exit(Stage::SequenceSolve);
-                let (frozen, seed, stats, refresh) = computed?;
-                let frozen = Arc::new(frozen);
-                cache.insert_tagged(
-                    key.key,
-                    Arc::clone(&frozen),
-                    EntryTag {
-                        stamps: key.stamps.clone(),
-                        lineage: key.lineage,
-                    },
-                    Some(Arc::new(seed)),
-                );
-                (frozen, CacheOutcome::Miss, stats, refresh)
-            }
-        };
-        let mut mechanism = RecursiveMechanism::new(CachedSequences(frozen), params)?;
-        let release = mechanism.release_recorded(rng, recorder)?;
-        return Ok(ReleaseOutcome {
-            release,
-            cache: outcome,
-            lp,
-            refresh,
-        });
+) -> Result<(QueryOutput, ReleaseFacts), SqlError> {
+    match plan {
+        AnyPlan::Scalar(plan) => {
+            recorder.enter(Stage::Fingerprint);
+            let key = env.cache.map(|_| plan_key(env.db, plan, &env.params));
+            recorder.exit(Stage::Fingerprint);
+            let (release, mut facts) = release_plan(env, plan, key.as_ref(), rng, recorder)?;
+            facts.fingerprint = key.map(|k| k.key);
+            Ok((QueryOutput::Scalar(release), facts))
+        }
+        AnyPlan::Grouped(grouped) => release_grouped_plan(env, grouped, price, rng, recorder)
+            .map(|(report, facts)| (QueryOutput::Grouped(report), facts)),
     }
-
-    recorder.enter(Stage::Plan);
-    let query = build_sensitive_query(db, plan);
-    recorder.exit(Stage::Plan);
-    // The constructor precomputes the sequence tables when the params are
-    // parallel, so its runtime belongs to the solve span too.
-    recorder.enter(Stage::SequenceSolve);
-    let mechanism = query.and_then(|query| {
-        RecursiveMechanism::new(EfficientSequences::new(query), params).map_err(SqlError::from)
-    });
-    recorder.exit(Stage::SequenceSolve);
-    let mut mechanism = mechanism?;
-    let release = mechanism.release_recorded(rng, recorder)?;
-    let lp = mechanism.sequences_mut().stats();
-    Ok(ReleaseOutcome {
-        release,
-        cache: CacheOutcome::Uncached,
-        lp,
-        refresh: None,
-    })
 }
 
-/// Releases a whole grouped (`GROUP BY`) report: the budget-free core of
-/// `SqlSession::query_grouped`, also run per-item by the mixed batch path
-/// and per-request by `rmdp-server` workers.
+/// Executes a validated plan and releases its aggregate: the tail of every
+/// scalar release and of every group of a grouped report.
 ///
-/// `params` is the caller's **full per-release** parameter set; the
+/// With a cache (`key` is then the plan's cache key), a fingerprint hit
+/// serves the frozen `H`/`G` table directly — skipping plan execution *and*
+/// every sequence LP — and a miss computes the full table once (all
+/// `2(|P|+1)` entries, warm-started chains, up to `params.parallelism`
+/// workers), publishes it, and releases from the freshly frozen copy.
+/// Noise is drawn from `rng` identically on every path, so hit, miss and
+/// uncached releases are bit-identical under the same seed.
+fn release_plan<T: Recorder>(
+    env: ReleaseEnv<'_>,
+    plan: &QueryPlan,
+    key: Option<&PlanKey>,
+    rng: &mut StdRng,
+    recorder: &mut T,
+) -> Result<(Release, ReleaseFacts), SqlError> {
+    let params = env.params;
+    let mut facts = ReleaseFacts {
+        releases: 1,
+        ..ReleaseFacts::default()
+    };
+    let release = match env.cache.zip(key) {
+        Some((cache, key)) => {
+            recorder.enter(Stage::CacheLookup);
+            let cached = cache.get(key.key);
+            recorder.exit(Stage::CacheLookup);
+            let frozen = match cached {
+                Some(hit) => {
+                    facts.cache_hits = 1;
+                    hit
+                }
+                None => {
+                    facts.cache_misses = 1;
+                    recorder.enter(Stage::Plan);
+                    let query = build_sensitive_query(env.db, plan);
+                    recorder.exit(Stage::Plan);
+                    recorder.enter(Stage::SequenceSolve);
+                    // A parked pre-delta entry of the same lineage (swept by
+                    // `purge_stale` on snapshot swap) turns this miss into a
+                    // warm refresh; either path is bit-identical to a cold
+                    // compute on the post-delta data, so the choice is purely
+                    // a matter of LP work.
+                    let computed =
+                        query.and_then(|query| match cache.take_refresh_base(key.lineage) {
+                            Some((base, seed)) => base
+                                .refresh(
+                                    &seed,
+                                    query,
+                                    SimplexOptions::default(),
+                                    params.parallelism,
+                                )
+                                .map(|(frozen, next_seed, stats)| {
+                                    (frozen, next_seed, stats.lp, Some(stats.tier))
+                                })
+                                .map_err(SqlError::from),
+                            None => FrozenSequences::compute_with_seed(
+                                EfficientSequences::new(query),
+                                params.parallelism,
+                            )
+                            .map(|(frozen, seed, stats)| (frozen, seed, stats, None))
+                            .map_err(SqlError::from),
+                        });
+                    recorder.exit(Stage::SequenceSolve);
+                    let (frozen, seed, stats, refresh) = computed?;
+                    facts.lp = stats;
+                    if let Some(tier) = refresh {
+                        facts.refreshes[match tier {
+                            RefreshTier::Unchanged => 0,
+                            RefreshTier::WarmChain => 1,
+                            RefreshTier::ColdRebuild => 2,
+                        }] = 1;
+                    }
+                    let frozen = Arc::new(frozen);
+                    cache.insert_tagged(
+                        key.key,
+                        Arc::clone(&frozen),
+                        EntryTag {
+                            stamps: key.stamps.clone(),
+                            lineage: key.lineage,
+                        },
+                        Some(Arc::new(seed)),
+                    );
+                    frozen
+                }
+            };
+            RecursiveMechanism::new(CachedSequences(frozen), params)?
+                .release_recorded(rng, recorder)?
+        }
+        None => {
+            recorder.enter(Stage::Plan);
+            let query = build_sensitive_query(env.db, plan);
+            recorder.exit(Stage::Plan);
+            // The constructor precomputes the sequence tables when the
+            // params are parallel, so its runtime belongs to the solve span
+            // too.
+            recorder.enter(Stage::SequenceSolve);
+            let mechanism = query.and_then(|query| {
+                RecursiveMechanism::new(EfficientSequences::new(query), params)
+                    .map_err(SqlError::from)
+            });
+            recorder.exit(Stage::SequenceSolve);
+            let mut mechanism = mechanism?;
+            let release = mechanism.release_recorded(rng, recorder)?;
+            facts.lp = mechanism.sequences_mut().stats();
+            release
+        }
+    };
+    facts.noise.push(NoiseScales {
+        log_scale: params.beta / params.epsilon1,
+        answer_scale: release.delta_hat / params.epsilon2,
+    });
+    Ok((release, facts))
+}
+
+/// Releases a whole grouped (`GROUP BY`) report.
+///
+/// `env.params` is the caller's **full per-release** parameter set; the
 /// policy's per-group ε split is derived here (β and θ — the
 /// sensitivity-relevant fields the cache keys on — stay put, so grouped and
 /// scalar traffic share sequence-cache entries). The `k` per-group sequence
@@ -188,33 +292,27 @@ pub(crate) fn release_plan<T: Recorder>(
 /// `Parallelism` settings, cached/uncached runs, and re-declared domain
 /// orders.
 ///
-/// Admission and the debit of the report's cost stay with the caller; the
-/// returned report's `epsilon_spent` is the policy's report price, computed
-/// here so callers debit exactly what the report says it spent.
-pub(crate) fn release_grouped_plan<T: Recorder>(
-    db: &AnnotatedDatabase,
+/// Worker threads record with a [`NoopRecorder`] — attributing stage spans
+/// across a concurrent fan-out would double-count wall time — so `recorder`
+/// books fingerprinting and the whole fan-out as one
+/// [`Stage::SequenceSolve`] span; the per-group facts come back folded in
+/// domain order.
+fn release_grouped_plan<T: Recorder>(
+    env: ReleaseEnv<'_>,
     grouped: &GroupedQueryPlan,
-    params: MechanismParams,
-    policy: GroupBudgetPolicy,
+    price: PrivacyBudget,
     rng: &mut StdRng,
-    cache: Option<&SequenceCache>,
     recorder: &mut T,
-) -> Result<(GroupedRelease, GroupedOutcome), SqlError> {
+) -> Result<(GroupedRelease, ReleaseFacts), SqlError> {
     let k = grouped.num_groups();
-    let per_release = PrivacyBudget {
-        epsilon: params.total_epsilon(),
-        delta: 0.0,
-    };
-    let cost = policy.report_cost(per_release, k);
-
     // Per-group parameters: only the ε split scales; β and θ — the
     // sensitivity-relevant fields the cache keys on — stay put, so grouped
     // and scalar traffic share sequence-cache entries.
-    let fraction = policy.per_group_fraction(k);
+    let fraction = env.policy.per_group_fraction(k);
     let group_params = MechanismParams {
-        epsilon1: params.epsilon1 * fraction,
-        epsilon2: params.epsilon2 * fraction,
-        ..params
+        epsilon1: env.params.epsilon1 * fraction,
+        epsilon2: env.params.epsilon2 * fraction,
+        ..env.params
     };
 
     let plans: Vec<QueryPlan> = grouped
@@ -225,10 +323,10 @@ pub(crate) fn release_grouped_plan<T: Recorder>(
     // Fingerprints are computed before the fan-out (cheap and pure), so
     // workers only touch the shared cache.
     recorder.enter(Stage::Fingerprint);
-    let keys: Option<Vec<PlanKey>> = cache.map(|_| {
+    let keys: Option<Vec<PlanKey>> = env.cache.map(|_| {
         plans
             .iter()
-            .map(|p| plan_key(db, p, &group_params))
+            .map(|p| plan_key(env.db, p, &group_params))
             .collect()
     });
     recorder.exit(Stage::Fingerprint);
@@ -240,94 +338,39 @@ pub(crate) fn release_grouped_plan<T: Recorder>(
         .map(|v| group_seed(report_seed, v))
         .collect();
 
-    // The report level owns the concurrency; the worker budget is split
-    // so total thread counts do not multiply (same discipline as
-    // `query_batch`).
-    let workers = params.parallelism.workers();
-    let per_group = workers / k.max(1);
-    let worker_params = group_params.with_parallelism(if per_group > 1 {
-        Parallelism::Threads(per_group)
-    } else {
-        Parallelism::Serial
-    });
+    let workers = ReleaseEnv {
+        params: group_params,
+        ..env
+    }
+    .per_item(k);
     recorder.enter(Stage::SequenceSolve);
-    let outcomes = par_try_map_indexed(params.parallelism, k, |i| {
+    let outcomes = par_try_map_indexed(env.params.parallelism, k, |i| {
         // lint:allow(rng-confinement): sanctioned construction — each group worker's RNG descends from the logged seed schedule, so replay is bit-identical
         let mut rng = StdRng::seed_from_u64(seeds[i]);
         let key = keys.as_ref().map(|ks| &ks[i]);
-        release_plan(
-            db,
-            &plans[i],
-            worker_params,
-            &mut rng,
-            cache.zip(key),
-            &mut NoopRecorder,
-        )
+        release_plan(workers, &plans[i], key, &mut rng, &mut NoopRecorder)
     });
     recorder.exit(Stage::SequenceSolve);
-    let outcomes = outcomes?;
 
-    // Fold the per-group LP work and cache outcomes in domain (= input)
-    // order; `par_try_map_indexed` already returns index order, so the
-    // totals are identical for every `Parallelism`.
-    let mut lp = LpWorkStats::default();
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut warm_refreshes = 0u64;
-    for outcome in &outcomes {
-        lp.absorb(&outcome.lp);
-        match outcome.cache {
-            CacheOutcome::Hit => cache_hits += 1,
-            CacheOutcome::Miss => cache_misses += 1,
-            CacheOutcome::Uncached => {}
-        }
-        if matches!(
-            outcome.refresh,
-            Some(RefreshTier::Unchanged | RefreshTier::WarmChain)
-        ) {
-            warm_refreshes += 1;
-        }
+    let mut facts = ReleaseFacts::default();
+    let mut groups = Vec::with_capacity(k);
+    for (key, (release, group)) in grouped.domain.iter().cloned().zip(outcomes?) {
+        facts.absorb(group);
+        groups.push(GroupRelease { key, release });
     }
-    let cache_outcome = if cache.is_none() {
-        CacheOutcome::Uncached
-    } else if cache_misses == 0 {
-        CacheOutcome::Hit
-    } else {
-        CacheOutcome::Miss
-    };
-
     let report = GroupedRelease {
         key_column: grouped.key_display.clone(),
-        groups: grouped
-            .domain
-            .iter()
-            .cloned()
-            .zip(outcomes)
-            .map(|(key, outcome)| GroupRelease {
-                key,
-                release: outcome.release,
-            })
-            .collect(),
+        groups,
         per_group_epsilon: group_params.total_epsilon(),
-        epsilon_spent: cost.epsilon,
-        policy,
+        epsilon_spent: price.epsilon,
+        policy: env.policy,
     };
-    let info = GroupedOutcome {
-        cache: cache_outcome,
-        cache_hits,
-        cache_misses,
-        warm_refreshes,
-        lp,
-        fraction,
-        group_epsilon1: group_params.epsilon1,
-        group_epsilon2: group_params.epsilon2,
-    };
-    Ok((report, info))
+    Ok((report, facts))
 }
 
 /// Executes the plan and wraps its annotated output as the linear query the
 /// mechanism aggregates.
-pub(crate) fn build_sensitive_query(
+fn build_sensitive_query(
     db: &AnnotatedDatabase,
     plan: &QueryPlan,
 ) -> Result<SensitiveKRelation, SqlError> {

@@ -1,25 +1,22 @@
 //! The public entry point: a SQL session over one annotated database.
 
 use crate::error::SqlError;
-use crate::exec::{execute, execute_grouped};
-use crate::fingerprint::{plan_fingerprint, plan_key, PlanKey};
+use crate::exec::execute;
+use crate::fingerprint::plan_fingerprint;
 use crate::parser::parse;
-use crate::plan::{plan_query, AnyPlan, GroupedQueryPlan, QueryPlan};
-use crate::release::{release_grouped_plan, release_plan, GroupedOutcome};
+use crate::plan::{plan_query, AnyPlan};
+use crate::release::{release_any, ReleaseEnv, ReleaseFacts};
 use crate::snapshot::CatalogSnapshot;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rmdp_core::{
-    CacheStats, LpWorkStats, MechanismParams, Parallelism, RefreshTier, Release, SequenceCache,
-};
+use rmdp_core::{CacheStats, LpWorkStats, MechanismParams, Release, SequenceCache};
 use rmdp_krelation::annotate::AnnotatedDatabase;
-use rmdp_krelation::fingerprint::Fingerprint;
 use rmdp_krelation::tuple::Value;
 use rmdp_krelation::KRelation;
 use rmdp_noise::{BudgetAccountant, BudgetExhausted, GroupBudgetPolicy, PrivacyBudget};
 use rmdp_observe::{
-    CacheOutcome, Clock, GroupSplit, MetricsRegistry, MonotonicClock, NoiseScales, NoopRecorder,
-    Recorder, ReleaseTrace, SpanRecorder, Stage,
+    Clock, GroupSplit, MetricsRegistry, MonotonicClock, NoopRecorder, Recorder, ReleaseTrace,
+    SpanRecorder, Stage,
 };
 use rmdp_runtime::par_try_map_indexed;
 use std::sync::Arc;
@@ -80,8 +77,10 @@ impl GroupedRelease {
     }
 }
 
-/// What [`SqlSession::query`] returns: a scalar release for ordinary
-/// aggregates, a grouped report for `GROUP BY` queries.
+/// What [`SqlSession::query`] returns (and [`SqlSession::query_batch`]
+/// returns per item): a scalar release for ordinary aggregates, a grouped
+/// report for `GROUP BY` queries. Callers that expect one shape match on
+/// it or take [`QueryOutput::scalar`] / [`QueryOutput::grouped`].
 #[derive(Clone, Debug)]
 pub enum QueryOutput {
     /// A single aggregate release.
@@ -152,10 +151,17 @@ pub struct TracedOutput {
 /// between admission and the noise draw (an LP failure, a bad aggregate)
 /// released nothing and therefore consumes no ε.
 ///
-/// [`SqlSession::query_batch`] releases several independent queries in one
-/// call, running them concurrently on the worker pool when the params'
-/// [`Parallelism`] knob allows; results are bit-identical to running the
-/// batch serially.
+/// The release surface is three methods over one core:
+/// [`SqlSession::query`] releases one query, [`SqlSession::query_traced`]
+/// releases one query and returns its [`ReleaseTrace`], and
+/// [`SqlSession::query_batch`] releases several independent queries —
+/// scalar or grouped — in one call, running them concurrently on the
+/// worker pool when the params' [`Parallelism`](rmdp_core::Parallelism)
+/// knob allows; results are bit-identical to running the batch serially.
+/// Every path prices a query with [`CatalogSnapshot::price`]. Callers that
+/// need one shape match on [`QueryOutput`] or use its
+/// [`scalar`](QueryOutput::scalar) and [`grouped`](QueryOutput::grouped)
+/// accessors.
 ///
 /// ## Cross-query sequence caching
 ///
@@ -206,13 +212,17 @@ pub struct TracedOutput {
 ///
 /// let mut session = SqlSession::new(db, MechanismParams::paper_edge_privacy(1.0));
 /// let release = session
-///     .query_scalar("SELECT COUNT(*) FROM visits WHERE place = 'museum'")
+///     .query("SELECT COUNT(*) FROM visits WHERE place = 'museum'")
+///     .unwrap()
+///     .scalar()
 ///     .unwrap();
 /// assert_eq!(release.true_answer, 2.0);
 /// assert!(release.noisy_answer.is_finite());
 ///
 /// let report = session
-///     .query_grouped("SELECT place, COUNT(*) FROM visits GROUP BY place")
+///     .query("SELECT place, COUNT(*) FROM visits GROUP BY place")
+///     .unwrap()
+///     .grouped()
 ///     .unwrap();
 /// assert_eq!(report.len(), 3); // every declared key, present in the data or not
 /// assert_eq!(report.get(&Value::str("museum")).unwrap().true_answer, 2.0);
@@ -300,7 +310,7 @@ impl SqlSession {
 
     /// Cumulative LP work across every release this session performed
     /// (scalar queries, grouped reports and batches alike), folded in input
-    /// order so the totals are identical for every [`Parallelism`].
+    /// order so the totals are identical for every [`Parallelism`](rmdp_core::Parallelism).
     pub fn lp_totals(&self) -> LpWorkStats {
         self.lp_totals
     }
@@ -376,14 +386,6 @@ impl SqlSession {
         self.accountant.as_ref().map(BudgetAccountant::remaining)
     }
 
-    /// The per-release cost under sequential composition: pure `ε₁ + ε₂`.
-    fn release_cost(&self) -> PrivacyBudget {
-        PrivacyBudget {
-            epsilon: self.params.total_epsilon(),
-            delta: 0.0,
-        }
-    }
-
     /// Admission check: refuses `cost` (consuming nothing) when the metered
     /// budget cannot cover it.
     fn ensure_affordable(&self, cost: PrivacyBudget) -> Result<(), SqlError> {
@@ -422,17 +424,6 @@ impl SqlSession {
         Ok(())
     }
 
-    /// The cache handle and epoch-scoped [`PlanKey`] for one admitted plan,
-    /// when the session carries a cache.
-    fn cache_key(&self, plan: &QueryPlan) -> Option<(Arc<SequenceCache>, PlanKey)> {
-        self.cache.as_ref().map(|c| {
-            (
-                Arc::clone(c),
-                plan_key(self.snapshot.database(), plan, &self.params),
-            )
-        })
-    }
-
     /// Parses, validates and lowers `sql` without touching the data — the
     /// `EXPLAIN` of this frontend. The plan's `Display` renders the algebra
     /// pipeline (with a `γ` header for grouped reports).
@@ -442,32 +433,17 @@ impl SqlSession {
 
     /// Evaluates a scalar `sql` **without differential privacy**, returning
     /// the annotated output relation. Intended for tests and debugging: the
-    /// result reveals raw data. Grouped queries go through
-    /// [`SqlSession::evaluate_grouped`].
+    /// result reveals raw data. A grouped query is refused with
+    /// [`SqlError::QueryShape`]; evaluate one of its groups through the
+    /// equivalent `WHERE key = v` query.
     pub fn evaluate(&self, sql: &str) -> Result<KRelation, SqlError> {
         match self.plan(sql)? {
             AnyPlan::Scalar(plan) => execute(self.snapshot.database(), &plan),
             AnyPlan::Grouped(g) => Err(SqlError::QueryShape {
-                message: "evaluate returns one relation; evaluate grouped queries through \
-                          `evaluate_grouped`"
+                message: "evaluate returns one relation; evaluate a group of a grouped query \
+                          through its `WHERE key = v` form"
                     .to_owned(),
                 span: g.key_span,
-            }),
-        }
-    }
-
-    /// Evaluates a grouped `sql` **without differential privacy**, returning
-    /// one annotated relation per declared key, in domain order. Like
-    /// [`SqlSession::evaluate`], this reveals raw data — tests and debugging
-    /// only.
-    pub fn evaluate_grouped(&self, sql: &str) -> Result<Vec<(Value, KRelation)>, SqlError> {
-        match self.plan(sql)? {
-            AnyPlan::Grouped(g) => execute_grouped(self.snapshot.database(), &g),
-            AnyPlan::Scalar(p) => Err(SqlError::QueryShape {
-                message: "evaluate_grouped needs a `GROUP BY` query; use `evaluate` for \
-                          scalar aggregates"
-                    .to_owned(),
-                span: p.aggregate_span,
             }),
         }
     }
@@ -475,7 +451,8 @@ impl SqlSession {
     /// Runs `sql` end-to-end and releases it through the recursive mechanism
     /// (efficient LP instantiation, paper Sec. 5): a scalar aggregate yields
     /// [`QueryOutput::Scalar`], a `GROUP BY` over a declared public domain
-    /// yields [`QueryOutput::Grouped`] — one independent release per key.
+    /// yields [`QueryOutput::Grouped`] — one independent release per key —
+    /// and an `EXPLAIN ANALYZE` prefix yields [`QueryOutput::Explained`].
     ///
     /// The participant universe is the database's full universe — people
     /// interned but absent from every table still count toward `|P|`, as in
@@ -492,6 +469,13 @@ impl SqlSession {
     /// that treat *error messages* as observable output should still account
     /// for them out of band; the accountant meters released answers, and a
     /// failed query releases none.)
+    ///
+    /// A grouped report draws one seed from the session RNG (so the RNG
+    /// advances once regardless of `k`), and each group's noise stream
+    /// derives from that seed **and the key value** — not the key's
+    /// position. Its releases are therefore bit-identical across
+    /// [`Parallelism`](rmdp_core::Parallelism) settings, cached/uncached
+    /// sessions, *and* re-declared domain orders.
     pub fn query(&mut self, sql: &str) -> Result<QueryOutput, SqlError> {
         // Parse first so an `EXPLAIN ANALYZE` prefix can dispatch to the
         // traced path. `query_traced` re-parses the text, which keeps its
@@ -500,10 +484,12 @@ impl SqlSession {
         if ast.explain {
             return Ok(QueryOutput::Explained(Box::new(self.query_traced(sql)?)));
         }
-        match plan_query(self.snapshot.database(), &ast)? {
-            AnyPlan::Scalar(plan) => self.release_scalar(&plan).map(QueryOutput::Scalar),
-            AnyPlan::Grouped(plan) => self.release_grouped(&plan).map(QueryOutput::Grouped),
-        }
+        let plan = plan_query(self.snapshot.database(), &ast)?;
+        let mut released = self.release(std::slice::from_ref(&plan), false, &mut NoopRecorder)?;
+        Ok(released
+            .outputs
+            .pop()
+            .expect("one plan releases one output"))
     }
 
     /// Runs `sql` like [`SqlSession::query`] and returns the output together
@@ -528,76 +514,46 @@ impl SqlSession {
         let ast = parse(sql)?;
         recorder.exit(Stage::Parse);
         recorder.enter(Stage::Plan);
-        let planned = plan_query(self.snapshot.database(), &ast)?;
+        let plan = plan_query(self.snapshot.database(), &ast)?;
         recorder.exit(Stage::Plan);
+        let Released {
+            mut outputs,
+            facts,
+            cost,
+        } = self.release(std::slice::from_ref(&plan), false, &mut recorder)?;
+        let output = outputs.pop().expect("one plan releases one output");
 
-        let (output, fingerprint, cache, cache_hits, cache_misses, lp, noise, epsilon, split) =
-            match planned {
-                AnyPlan::Scalar(plan) => {
-                    let out = self.release_scalar_recorded(&plan, &mut recorder, true)?;
-                    let noise = vec![NoiseScales {
-                        log_scale: self.params.beta / self.params.epsilon1,
-                        answer_scale: out.release.delta_hat / self.params.epsilon2,
-                    }];
-                    let (hits, misses) = match out.cache {
-                        CacheOutcome::Hit => (1, 0),
-                        CacheOutcome::Miss => (0, 1),
-                        CacheOutcome::Uncached => (0, 0),
-                    };
-                    (
-                        QueryOutput::Scalar(out.release),
-                        out.fingerprint,
-                        out.cache,
-                        hits,
-                        misses,
-                        out.lp,
-                        noise,
-                        self.params.total_epsilon(),
-                        None,
-                    )
-                }
-                AnyPlan::Grouped(plan) => {
-                    let (report, info) = self.release_grouped_recorded(&plan, &mut recorder)?;
-                    let noise = report
-                        .groups
-                        .iter()
-                        .map(|g| NoiseScales {
-                            log_scale: self.params.beta / info.group_epsilon1,
-                            answer_scale: g.release.delta_hat / info.group_epsilon2,
-                        })
-                        .collect();
-                    let split = GroupSplit {
-                        policy: report.policy.to_string(),
-                        groups: report.len() as u64,
-                        per_group_fraction: info.fraction,
-                        per_group_epsilon: report.per_group_epsilon,
-                    };
-                    let epsilon = report.epsilon_spent;
-                    (
-                        QueryOutput::Grouped(report),
-                        None,
-                        info.cache,
-                        info.cache_hits,
-                        info.cache_misses,
-                        info.lp,
-                        noise,
-                        epsilon,
-                        Some(split),
-                    )
-                }
-            };
-
+        // Only cached releases compute a cache key; the trace names a
+        // scalar plan by its fingerprint either way.
+        let fingerprint = match &plan {
+            AnyPlan::Scalar(plan) if facts.fingerprint.is_none() => {
+                recorder.enter(Stage::Fingerprint);
+                let fingerprint = plan_fingerprint(self.snapshot.database(), plan, &self.params);
+                recorder.exit(Stage::Fingerprint);
+                Some(fingerprint)
+            }
+            _ => facts.fingerprint,
+        };
+        let group_split = match &output {
+            QueryOutput::Grouped(report) => Some(GroupSplit {
+                policy: report.policy.to_string(),
+                groups: report.len() as u64,
+                per_group_fraction: report.policy.per_group_fraction(report.len()),
+                per_group_epsilon: report.per_group_epsilon,
+            }),
+            QueryOutput::Scalar(_) | QueryOutput::Explained(_) => None,
+        };
         let trace = ReleaseTrace {
             fingerprint: fingerprint.map(|f| f.0),
-            cache,
-            cache_hits,
-            cache_misses,
+            cache: facts.cache_outcome(self.cache.is_some()),
+            cache_hits: facts.cache_hits,
+            cache_misses: facts.cache_misses,
             stages: recorder.spans(),
             total_nanos: self.clock.now_nanos().saturating_sub(started),
-            lp: lp.to_summary(),
-            noise,
-            epsilon_spent: epsilon,
-            group_split: split,
+            lp: facts.lp.to_summary(),
+            noise: facts.noise,
+            epsilon_spent: cost.epsilon,
+            group_split,
         };
         if let Some(m) = &self.metrics {
             m.counter_add("sql.traced_queries", 1);
@@ -611,105 +567,135 @@ impl SqlSession {
         Ok(TracedOutput { output, trace })
     }
 
-    /// [`SqlSession::query`] for callers that know the query is scalar;
-    /// a grouped query is refused with a span-carrying
-    /// [`SqlError::QueryShape`] pointing at its `GROUP BY`.
-    pub fn query_scalar(&mut self, sql: &str) -> Result<Release, SqlError> {
-        match self.plan(sql)? {
-            AnyPlan::Scalar(plan) => self.release_scalar(&plan),
-            AnyPlan::Grouped(g) => Err(SqlError::QueryShape {
-                message: "this query is grouped; release it through `query` or \
-                          `query_grouped`"
-                    .to_owned(),
-                span: g.key_span,
-            }),
-        }
+    /// Runs several independent queries — scalar **or** `GROUP BY` — and
+    /// releases each through the recursive mechanism, returning one
+    /// [`QueryOutput`] per query in input order.
+    ///
+    /// The whole batch is admitted atomically: every query must plan
+    /// successfully and the parameters must validate (both data-independent
+    /// checks), and when the session carries a budget the batch's total
+    /// cost — the sum of every item's price under sequential composition
+    /// (`ε₁ + ε₂` per scalar, the [`GroupBudgetPolicy`] report price per
+    /// grouped item) — must fit in what remains. An over-budget batch is
+    /// refused with no release performed and **no privacy consumed**. The
+    /// debit is recorded only after *every* item has released successfully;
+    /// a failure anywhere fails the whole batch and, since none of its
+    /// releases are returned, consumes nothing.
+    ///
+    /// When `params.parallelism` resolves to more than one worker the items
+    /// run concurrently on the scoped pool (each on its own K-relation, LPs
+    /// and noise stream); worker threads left over by a batch smaller than
+    /// the worker budget are given to the per-item mechanisms instead. A
+    /// per-item noise seed is drawn from the session RNG *before* fanning
+    /// out, in input order, so the batch's releases are bit-identical
+    /// whatever the parallelism — and the session RNG advances exactly
+    /// `sqls.len()` draws either way. A grouped item's per-group streams
+    /// derive from its seed and each key *value*, as in
+    /// [`SqlSession::query`].
+    ///
+    /// When the session carries a [`SequenceCache`] the workers share it:
+    /// repeated query shapes inside one batch (or across batches and
+    /// sessions) reuse each other's frozen sequences. Two workers racing on
+    /// the same cold shape at worst both compute the (deterministic,
+    /// bit-identical) table, so the released values never depend on the
+    /// schedule. An `EXPLAIN ANALYZE` prefix is ignored here: batch items
+    /// are not traced.
+    pub fn query_batch<S: AsRef<str>>(&mut self, sqls: &[S]) -> Result<Vec<QueryOutput>, SqlError> {
+        let plans: Vec<AnyPlan> = sqls
+            .iter()
+            .map(|sql| self.plan(sql.as_ref()))
+            .collect::<Result<_, _>>()?;
+        Ok(self.release(&plans, true, &mut NoopRecorder)?.outputs)
     }
 
-    /// [`SqlSession::query`] for callers that know the query is grouped;
-    /// a scalar query is refused with a span-carrying
-    /// [`SqlError::QueryShape`].
-    pub fn query_grouped(&mut self, sql: &str) -> Result<GroupedRelease, SqlError> {
-        match self.plan(sql)? {
-            AnyPlan::Grouped(plan) => self.release_grouped(&plan),
-            AnyPlan::Scalar(p) => Err(SqlError::QueryShape {
-                message: "query_grouped needs a `GROUP BY` query; use `query` or \
-                          `query_scalar` for scalar aggregates"
-                    .to_owned(),
-                span: p.aggregate_span,
-            }),
-        }
-    }
-
-    /// The shared scalar release path of [`SqlSession::query`] and
-    /// [`SqlSession::query_scalar`].
-    fn release_scalar(&mut self, plan: &QueryPlan) -> Result<Release, SqlError> {
-        Ok(self
-            .release_scalar_recorded(plan, &mut NoopRecorder, false)?
-            .release)
-    }
-
-    /// Recorder-generic scalar release: the shared implementation of
-    /// [`SqlSession::release_scalar`] (with a [`NoopRecorder`], whose empty
-    /// inline hooks compile away) and [`SqlSession::query_traced`] (with a
-    /// [`SpanRecorder`]). `force_fingerprint` computes the canonical plan
-    /// fingerprint even on uncached sessions so the trace can report it.
-    fn release_scalar_recorded<T: Recorder>(
+    /// The one release path behind [`SqlSession::query`],
+    /// [`SqlSession::query_traced`] and [`SqlSession::query_batch`]: it
+    /// validates the parameters, prices every plan, admits the total
+    /// (refusal consumes nothing), releases, debits only after every
+    /// release succeeded, and folds the releases' facts into the session
+    /// totals and metrics in input order.
+    ///
+    /// `fan_out` picks the noise schedule. Without it the plans release on
+    /// this thread, drawing straight from the session RNG, and `recorder`
+    /// times every stage. With it, one seed per plan is drawn from the
+    /// session RNG in input order *before* the plans fan out across the
+    /// worker pool (whose workers record nothing), so the releases are
+    /// bit-identical for every [`Parallelism`](rmdp_core::Parallelism).
+    fn release<T: Recorder>(
         &mut self,
-        plan: &QueryPlan,
+        plans: &[AnyPlan],
+        fan_out: bool,
         recorder: &mut T,
-        force_fingerprint: bool,
-    ) -> Result<ScalarOutcome, SqlError> {
+    ) -> Result<Released, SqlError> {
         // Validate params before the admission check so a misconfigured
         // session fails loudly instead of looking over budget.
         self.params.validate()?;
-        let cost = self.release_cost();
+        let prices: Vec<PrivacyBudget> = plans
+            .iter()
+            .map(|plan| self.snapshot.price(plan, self.group_policy))
+            .collect();
+        let cost = prices.iter().fold(
+            PrivacyBudget {
+                epsilon: 0.0,
+                delta: 0.0,
+            },
+            |total, price| total.compose(price),
+        );
         recorder.enter(Stage::BudgetDebit);
         let admitted = self.ensure_affordable(cost);
         recorder.exit(Stage::BudgetDebit);
         admitted?;
-        recorder.enter(Stage::Fingerprint);
-        let cache = self.cache_key(plan);
-        let fingerprint = match (&cache, force_fingerprint) {
-            (Some((_, key)), _) => Some(key.key),
-            (None, true) => Some(plan_fingerprint(
-                self.snapshot.database(),
-                plan,
-                &self.params,
-            )),
-            (None, false) => None,
+
+        let env = ReleaseEnv {
+            db: self.snapshot.database(),
+            params: self.params,
+            policy: self.group_policy,
+            cache: self.cache.as_deref(),
         };
-        recorder.exit(Stage::Fingerprint);
-        let outcome = release_plan(
-            self.snapshot.database(),
-            plan,
-            self.params,
-            &mut self.rng,
-            cache.as_ref().map(|(c, key)| (c.as_ref(), key)),
-            recorder,
-        )?;
+        let released = if fan_out {
+            // lint:allow(rng-confinement): sanctioned seed-schedule derivation — per-item seeds drawn serially from the session root before fan-out
+            let seeds: Vec<u64> = plans.iter().map(|_| self.rng.next_u64()).collect();
+            let workers = env.per_item(plans.len());
+            par_try_map_indexed(self.params.parallelism, plans.len(), |i| {
+                // lint:allow(rng-confinement): sanctioned construction — each worker's RNG descends from the logged seed schedule, so replay is bit-identical
+                let mut rng = StdRng::seed_from_u64(seeds[i]);
+                release_any(workers, &plans[i], prices[i], &mut rng, &mut NoopRecorder)
+            })?
+        } else {
+            plans
+                .iter()
+                .zip(&prices)
+                .map(|(plan, &price)| release_any(env, plan, price, &mut self.rng, recorder))
+                .collect::<Result<Vec<_>, _>>()?
+        };
         recorder.enter(Stage::BudgetDebit);
         let debited = self.debit(cost);
         recorder.exit(Stage::BudgetDebit);
         debited?;
-        self.absorb_release_stats(&outcome.lp, 1);
-        self.absorb_refresh_tier(outcome.refresh);
-        Ok(ScalarOutcome {
-            release: outcome.release,
-            cache: outcome.cache,
-            lp: outcome.lp,
-            fingerprint,
+
+        let mut facts = ReleaseFacts::default();
+        let mut outputs = Vec::with_capacity(released.len());
+        for (output, item) in released {
+            facts.absorb(item);
+            outputs.push(output);
+        }
+        self.absorb(&facts);
+        Ok(Released {
+            outputs,
+            facts,
+            cost,
         })
     }
 
-    /// Folds one call's LP work into the session totals and, when a
-    /// registry is attached, into the process metrics. `releases` is how
-    /// many mechanism releases the call performed (1 for a scalar, `k` for
-    /// a grouped report, the batch length for a batch).
-    fn absorb_release_stats(&mut self, lp: &LpWorkStats, releases: u64) {
-        self.lp_totals.absorb(lp);
+    /// Folds one call's release facts into the session LP totals and, when
+    /// a registry is attached, into the process metrics: releases, LP
+    /// work, the refresh tier of every warm-refreshed miss, and the
+    /// sequence-cache counters.
+    fn absorb(&mut self, facts: &ReleaseFacts) {
+        self.lp_totals.absorb(&facts.lp);
         if let Some(m) = &self.metrics {
-            m.counter_add("sql.releases", releases);
+            let lp = &facts.lp;
+            m.counter_add("sql.releases", facts.releases);
             m.counter_add("lp.h_solves", lp.h_solves as u64);
             m.counter_add("lp.g_solves", lp.g_solves as u64);
             m.counter_add("lp.total_pivots", lp.total_pivots as u64);
@@ -718,6 +704,16 @@ impl SqlSession {
             m.counter_add("lp.basis_updates", lp.basis_updates as u64);
             // Peak, not a sum: the session total already folds with `max`.
             m.gauge_set("lp.peak_fill_in_nnz", self.lp_totals.fill_in_nnz as f64);
+            let tiers = [
+                "lp.warm_refresh_unchanged",
+                "lp.warm_refresh_chains",
+                "lp.warm_refresh_cold",
+            ];
+            for (name, count) in tiers.into_iter().zip(facts.refreshes) {
+                if count > 0 {
+                    m.counter_add(name, count);
+                }
+            }
             if let Some(stats) = self.cache_stats() {
                 m.counter_record_total("cache.hits", stats.hits);
                 m.counter_record_total("cache.misses", stats.misses);
@@ -728,328 +724,28 @@ impl SqlSession {
             }
         }
     }
-
-    /// Books which refresh tier served a cache miss, when the miss was
-    /// re-derived from a parked pre-delta entry rather than computed cold.
-    fn absorb_refresh_tier(&self, refresh: Option<RefreshTier>) {
-        if let Some(m) = &self.metrics {
-            match refresh {
-                Some(RefreshTier::Unchanged) => m.counter_add("lp.warm_refresh_unchanged", 1),
-                Some(RefreshTier::WarmChain) => m.counter_add("lp.warm_refresh_chains", 1),
-                Some(RefreshTier::ColdRebuild) => m.counter_add("lp.warm_refresh_cold", 1),
-                None => {}
-            }
-        }
-    }
-
-    /// The grouped release path: the whole `k`-group report is admitted
-    /// atomically (refusal consumes no ε), every group releases with the
-    /// policy's per-group `ε`, and the report cost is debited only after
-    /// every group has released.
-    ///
-    /// The `k` per-group sequence computations fan out across the worker
-    /// pool and through the shared [`SequenceCache`] exactly like a
-    /// [`SqlSession::query_batch`] — each group's plan is the template with
-    /// its key dissolved into an equality conjunct, so a group's cache entry
-    /// is *the same entry* the hand-written `WHERE key = v` query uses.
-    ///
-    /// Determinism discipline: one seed is drawn from the session RNG per
-    /// report (so the RNG advances once regardless of `k`), and each group's
-    /// noise stream derives from that seed **and the key value** — not the
-    /// key's position. Releases are therefore bit-identical across
-    /// [`Parallelism`] settings, cached/uncached sessions, *and* re-declared
-    /// domain orders.
-    fn release_grouped(&mut self, grouped: &GroupedQueryPlan) -> Result<GroupedRelease, SqlError> {
-        Ok(self.release_grouped_recorded(grouped, &mut NoopRecorder)?.0)
-    }
-
-    /// Recorder-generic grouped release. Worker threads run with a
-    /// [`NoopRecorder`] — attributing stage spans across a concurrent
-    /// fan-out would double-count wall time — so the report's recorder
-    /// books admission/debit, fingerprinting, and the whole fan-out (as one
-    /// [`Stage::SequenceSolve`] span); the per-group facts the trace wants
-    /// come back in the [`GroupedOutcome`].
-    fn release_grouped_recorded<T: Recorder>(
-        &mut self,
-        grouped: &GroupedQueryPlan,
-        recorder: &mut T,
-    ) -> Result<(GroupedRelease, GroupedOutcome), SqlError> {
-        self.params.validate()?;
-        let k = grouped.num_groups();
-        let cost = self.group_policy.report_cost(self.release_cost(), k);
-        recorder.enter(Stage::BudgetDebit);
-        let admitted = self.ensure_affordable(cost);
-        recorder.exit(Stage::BudgetDebit);
-        admitted?;
-
-        let (report, info) = release_grouped_plan(
-            self.snapshot.database(),
-            grouped,
-            self.params,
-            self.group_policy,
-            &mut self.rng,
-            self.cache.as_deref(),
-            recorder,
-        )?;
-        recorder.enter(Stage::BudgetDebit);
-        let debited = self.debit(cost);
-        recorder.exit(Stage::BudgetDebit);
-        debited?;
-        self.absorb_release_stats(&info.lp, k as u64);
-        // Per-group tiers are folded inside the fan-out; warm refreshes
-        // (Unchanged or WarmChain) are booked under the chains counter.
-        if let Some(m) = &self.metrics {
-            m.counter_add("lp.warm_refresh_chains", info.warm_refreshes);
-        }
-        Ok((report, info))
-    }
-
-    /// Runs several independent queries and releases each through the
-    /// recursive mechanism, spending `ε₁ + ε₂` **per query** under
-    /// sequential composition.
-    ///
-    /// The whole batch is admitted atomically: every query must plan
-    /// successfully and the parameters must validate (both data-independent
-    /// checks), and when the session carries a budget the batch's total cost
-    /// `k·(ε₁+ε₂)` must fit in what remains — an over-budget batch is
-    /// refused with no release performed and **no privacy consumed**. The
-    /// debit is recorded only after *every* query in the batch has released
-    /// successfully; a failure anywhere fails the whole batch and, since
-    /// none of its releases are returned, consumes nothing.
-    ///
-    /// When `params.parallelism` resolves to more than one worker the
-    /// queries run concurrently on the scoped pool (each on its own
-    /// K-relation, LPs and noise stream); worker threads left over by a
-    /// batch smaller than the worker budget are given to the per-query
-    /// mechanisms instead. A per-query noise seed is drawn from the session
-    /// RNG *before* fanning out, in query order, so the batch's releases are
-    /// bit-identical whatever the parallelism — and the session RNG advances
-    /// exactly `sqls.len()` draws either way.
-    ///
-    /// When the session carries a [`SequenceCache`] the workers share it:
-    /// repeated query shapes inside one batch (or across batches and
-    /// sessions) reuse each other's frozen sequences. Two workers racing on
-    /// the same cold shape at worst both compute the (deterministic,
-    /// bit-identical) table, so the released values never depend on the
-    /// schedule.
-    pub fn query_batch<S: AsRef<str>>(&mut self, sqls: &[S]) -> Result<Vec<Release>, SqlError> {
-        let plans: Vec<QueryPlan> = sqls
-            .iter()
-            .map(|sql| match self.plan(sql.as_ref())? {
-                AnyPlan::Scalar(p) => Ok(p),
-                AnyPlan::Grouped(g) => Err(SqlError::QueryShape {
-                    message: "query_batch releases scalar aggregates; run grouped reports \
-                              one at a time through `query` or `query_grouped`"
-                        .to_owned(),
-                    span: g.key_span,
-                }),
-            })
-            .collect::<Result<_, _>>()?;
-        self.params.validate()?;
-
-        let total_cost = PrivacyBudget {
-            epsilon: self.release_cost().epsilon * plans.len() as f64,
-            delta: 0.0,
-        };
-        self.ensure_affordable(total_cost)?;
-
-        // Plan keys are computed before the fan-out (they are cheap and
-        // pure), one per plan, so workers only touch the shared cache.
-        let keys: Option<Vec<PlanKey>> = self.cache.as_ref().map(|_| {
-            plans
-                .iter()
-                .map(|p| plan_key(self.snapshot.database(), p, &self.params))
-                .collect()
-        });
-        // lint:allow(rng-confinement): sanctioned seed-schedule derivation — per-item seeds drawn serially from the session root before fan-out
-        let seeds: Vec<u64> = plans.iter().map(|_| self.rng.next_u64()).collect();
-
-        // The batch level owns the concurrency; the worker budget is split
-        // so total thread counts do not multiply. A batch smaller than the
-        // budget hands the spare workers to each query's own precompute
-        // (e.g. a 1-query batch at Threads(8) behaves like `query`).
-        let db = self.snapshot.database();
-        let cache = self.cache.as_deref();
-        let workers = self.params.parallelism.workers();
-        let per_query = workers / plans.len().max(1);
-        let worker_params = self.params.with_parallelism(if per_query > 1 {
-            Parallelism::Threads(per_query)
-        } else {
-            Parallelism::Serial
-        });
-        let outcomes = par_try_map_indexed(self.params.parallelism, plans.len(), |i| {
-            // lint:allow(rng-confinement): sanctioned construction — each worker's RNG descends from the logged seed schedule, so replay is bit-identical
-            let mut rng = StdRng::seed_from_u64(seeds[i]);
-            let key = keys.as_ref().map(|k| &k[i]);
-            release_plan(
-                db,
-                &plans[i],
-                worker_params,
-                &mut rng,
-                cache.zip(key),
-                &mut NoopRecorder,
-            )
-        })?;
-        self.debit(total_cost)?;
-        // Fold the batch's LP work into the session totals in query (=
-        // input) order — `par_try_map_indexed` already returns index order,
-        // so the fold is deterministic for every `Parallelism`.
-        let mut lp = LpWorkStats::default();
-        for outcome in &outcomes {
-            lp.absorb(&outcome.lp);
-            self.absorb_refresh_tier(outcome.refresh);
-        }
-        self.absorb_release_stats(&lp, outcomes.len() as u64);
-        Ok(outcomes.into_iter().map(|o| o.release).collect())
-    }
-
-    /// Runs several independent queries — scalar **or** `GROUP BY` — and
-    /// releases each through the recursive mechanism, admitting the whole
-    /// mixed batch atomically.
-    ///
-    /// [`SqlSession::query_batch`] stays deliberately scalar-only (a grouped
-    /// query there is a shape error, not a silent scalar release); this is
-    /// the path that admits grouped reports through the batch machinery.
-    /// Pricing composes sequentially over the batch: a scalar item costs
-    /// `ε₁ + ε₂`, a grouped item costs its [`GroupBudgetPolicy`] report
-    /// price for its domain size — and the *sum* is admitted atomically, so
-    /// an over-budget batch is refused with nothing released and **no
-    /// privacy consumed**. As in [`SqlSession::query_batch`], the debit
-    /// lands only after every item has released; a failure anywhere fails
-    /// the whole batch and consumes nothing.
-    ///
-    /// Determinism matches the scalar batch: one noise seed is drawn from
-    /// the session RNG per item, in input order, before the fan-out. A
-    /// grouped item's per-group streams derive from that seed and each key
-    /// *value* (the [`SqlSession::query_grouped`] discipline), so the
-    /// batch's releases are bit-identical across [`Parallelism`] settings
-    /// and cached/uncached sessions.
-    pub fn query_batch_mixed<S: AsRef<str>>(
-        &mut self,
-        sqls: &[S],
-    ) -> Result<Vec<BatchRelease>, SqlError> {
-        let plans: Vec<AnyPlan> = sqls
-            .iter()
-            .map(|sql| self.plan(sql.as_ref()))
-            .collect::<Result<_, _>>()?;
-        self.params.validate()?;
-
-        let per_release = self.release_cost();
-        let mut epsilon = 0.0;
-        for item in &plans {
-            epsilon += match item {
-                AnyPlan::Scalar(_) => per_release.epsilon,
-                AnyPlan::Grouped(g) => {
-                    self.group_policy
-                        .report_cost(per_release, g.num_groups())
-                        .epsilon
-                }
-            };
-        }
-        let total_cost = PrivacyBudget {
-            epsilon,
-            delta: 0.0,
-        };
-        self.ensure_affordable(total_cost)?;
-
-        // Scalar plan keys are precomputed as in `query_batch`; grouped
-        // items compute keys per group inside `release_grouped_plan` (their
-        // keys depend on the scaled per-group ε split).
-        let keys: Option<Vec<Option<PlanKey>>> = self.cache.as_ref().map(|_| {
-            plans
-                .iter()
-                .map(|item| match item {
-                    AnyPlan::Scalar(p) => Some(plan_key(self.snapshot.database(), p, &self.params)),
-                    AnyPlan::Grouped(_) => None,
-                })
-                .collect()
-        });
-        // lint:allow(rng-confinement): sanctioned seed-schedule derivation — per-item seeds drawn serially from the session root before fan-out
-        let seeds: Vec<u64> = plans.iter().map(|_| self.rng.next_u64()).collect();
-
-        let db = self.snapshot.database();
-        let cache = self.cache.as_deref();
-        let policy = self.group_policy;
-        let workers = self.params.parallelism.workers();
-        let per_item = workers / plans.len().max(1);
-        let worker_params = self.params.with_parallelism(if per_item > 1 {
-            Parallelism::Threads(per_item)
-        } else {
-            Parallelism::Serial
-        });
-        let outcomes = par_try_map_indexed(self.params.parallelism, plans.len(), |i| {
-            // lint:allow(rng-confinement): sanctioned construction — each worker's RNG descends from the logged seed schedule, so replay is bit-identical
-            let mut rng = StdRng::seed_from_u64(seeds[i]);
-            match &plans[i] {
-                AnyPlan::Scalar(plan) => {
-                    let key = keys.as_ref().and_then(|ks| ks[i].as_ref());
-                    release_plan(
-                        db,
-                        plan,
-                        worker_params,
-                        &mut rng,
-                        cache.zip(key),
-                        &mut NoopRecorder,
-                    )
-                    .map(|o| (BatchRelease::Scalar(o.release), o.lp))
-                }
-                AnyPlan::Grouped(g) => release_grouped_plan(
-                    db,
-                    g,
-                    worker_params,
-                    policy,
-                    &mut rng,
-                    cache,
-                    &mut NoopRecorder,
-                )
-                .map(|(report, info)| (BatchRelease::Grouped(report), info.lp)),
-            }
-        })?;
-        self.debit(total_cost)?;
-
-        // Fold LP work in input order (index order is already guaranteed),
-        // counting one mechanism release per scalar and `k` per grouped item.
-        let mut lp = LpWorkStats::default();
-        let mut releases = 0u64;
-        let mut out = Vec::with_capacity(outcomes.len());
-        for (item, (release, item_lp)) in plans.iter().zip(outcomes) {
-            lp.absorb(&item_lp);
-            releases += match item {
-                AnyPlan::Scalar(_) => 1,
-                AnyPlan::Grouped(g) => g.num_groups() as u64,
-            };
-            out.push(release);
-        }
-        self.absorb_release_stats(&lp, releases);
-        Ok(out)
-    }
 }
 
-/// One release of a [`SqlSession::query_batch_mixed`] batch: scalar items
-/// release a single [`Release`], `GROUP BY` items a whole
-/// [`GroupedRelease`].
-#[derive(Clone, Debug)]
-pub enum BatchRelease {
-    /// A scalar aggregate's release.
-    Scalar(Release),
-    /// A grouped (`GROUP BY`) report's releases.
-    Grouped(GroupedRelease),
-}
-
-/// A [`release_plan`] outcome for the scalar session path, with the
-/// canonical plan fingerprint when one was computed (always, when tracing).
-struct ScalarOutcome {
-    release: Release,
-    cache: CacheOutcome,
-    lp: LpWorkStats,
-    fingerprint: Option<Fingerprint>,
+/// What the session release core returns: the outputs in input order, the
+/// facts of every release folded in that order, and the total ε debited.
+struct Released {
+    outputs: Vec<QueryOutput>,
+    facts: ReleaseFacts,
+    cost: PrivacyBudget,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmdp_core::Parallelism;
     use rmdp_krelation::tuple::{Tuple, Value};
     use rmdp_krelation::Expr;
+    use rmdp_observe::CacheOutcome;
+
+    /// The releases of a batch of scalar queries.
+    fn scalars(outputs: Vec<QueryOutput>) -> Vec<Release> {
+        outputs.into_iter().map(|o| o.scalar().unwrap()).collect()
+    }
 
     fn db() -> AnnotatedDatabase {
         let mut db = AnnotatedDatabase::new();
@@ -1072,7 +768,9 @@ mod tests {
     fn count_release_has_the_right_true_answer() {
         let mut session = SqlSession::new(db(), MechanismParams::paper_edge_privacy(1.0));
         let release = session
-            .query_scalar("SELECT COUNT(*) FROM payments")
+            .query("SELECT COUNT(*) FROM payments")
+            .unwrap()
+            .scalar()
             .unwrap();
         assert_eq!(release.true_answer, 3.0);
         assert!(release.noisy_answer.is_finite());
@@ -1083,7 +781,9 @@ mod tests {
     fn sum_aggregates_weights() {
         let mut session = SqlSession::new(db(), MechanismParams::paper_edge_privacy(1.0));
         let release = session
-            .query_scalar("SELECT SUM(amount) FROM payments WHERE amount > 0")
+            .query("SELECT SUM(amount) FROM payments WHERE amount > 0")
+            .unwrap()
+            .scalar()
             .unwrap();
         assert_eq!(release.true_answer, 8.0);
     }
@@ -1092,7 +792,7 @@ mod tests {
     fn negative_sum_weights_are_a_sql_error_not_a_panic() {
         let mut session = SqlSession::new(db(), MechanismParams::paper_edge_privacy(1.0));
         let err = session
-            .query_scalar("SELECT SUM(amount) FROM payments")
+            .query("SELECT SUM(amount) FROM payments")
             .unwrap_err();
         match err {
             SqlError::BadAggregate { message, .. } => {
@@ -1106,7 +806,7 @@ mod tests {
     fn sum_over_strings_is_a_sql_error() {
         let mut session = SqlSession::new(db(), MechanismParams::paper_edge_privacy(1.0));
         let err = session
-            .query_scalar("SELECT SUM(person) FROM payments")
+            .query("SELECT SUM(person) FROM payments")
             .unwrap_err();
         assert!(matches!(err, SqlError::BadAggregate { .. }));
     }
@@ -1115,13 +815,19 @@ mod tests {
     fn releases_are_deterministic_per_seed() {
         let params = MechanismParams::paper_edge_privacy(1.0);
         let a = SqlSession::with_seed(db(), params, 1)
-            .query_scalar("SELECT COUNT(*) FROM payments")
+            .query("SELECT COUNT(*) FROM payments")
+            .unwrap()
+            .scalar()
             .unwrap();
         let b = SqlSession::with_seed(db(), params, 1)
-            .query_scalar("SELECT COUNT(*) FROM payments")
+            .query("SELECT COUNT(*) FROM payments")
+            .unwrap()
+            .scalar()
             .unwrap();
         let c = SqlSession::with_seed(db(), params, 2)
-            .query_scalar("SELECT COUNT(*) FROM payments")
+            .query("SELECT COUNT(*) FROM payments")
+            .unwrap()
+            .scalar()
             .unwrap();
         assert_eq!(a.noisy_answer, b.noisy_answer);
         assert_ne!(a.noisy_answer, c.noisy_answer);
@@ -1135,16 +841,16 @@ mod tests {
             "SELECT SUM(amount) FROM payments WHERE amount > 0",
             "SELECT COUNT(*) FROM payments WHERE amount > 4",
         ];
-        let serial = SqlSession::with_seed(db(), params, 7)
-            .query_batch(&sqls)
-            .unwrap();
-        let parallel = SqlSession::with_seed(
-            db(),
-            params.with_parallelism(rmdp_core::Parallelism::Threads(3)),
-            7,
-        )
-        .query_batch(&sqls)
-        .unwrap();
+        let serial = scalars(
+            SqlSession::with_seed(db(), params, 7)
+                .query_batch(&sqls)
+                .unwrap(),
+        );
+        let parallel = scalars(
+            SqlSession::with_seed(db(), params.with_parallelism(Parallelism::Threads(3)), 7)
+                .query_batch(&sqls)
+                .unwrap(),
+        );
         assert_eq!(serial.len(), 3);
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.noisy_answer, b.noisy_answer);
@@ -1204,9 +910,7 @@ mod tests {
         assert!((session.remaining_budget().unwrap().epsilon - 0.4).abs() < 1e-12);
 
         // And now the single-query path is over budget too.
-        let err = session
-            .query_scalar("SELECT COUNT(*) FROM payments")
-            .unwrap_err();
+        let err = session.query("SELECT COUNT(*) FROM payments").unwrap_err();
         assert!(matches!(err, SqlError::BudgetExhausted(_)));
         assert!((session.remaining_budget().unwrap().epsilon - 0.4).abs() < 1e-12);
     }
@@ -1219,9 +923,7 @@ mod tests {
         let mut session =
             SqlSession::new(db(), params).with_budget(rmdp_noise::PrivacyBudget::pure(1.0));
         for _ in 0..3 {
-            let err = session
-                .query_scalar("SELECT COUNT(*) FROM payments")
-                .unwrap_err();
+            let err = session.query("SELECT COUNT(*) FROM payments").unwrap_err();
             assert!(matches!(err, SqlError::Mechanism(_)));
         }
         let err = session
@@ -1240,7 +942,7 @@ mod tests {
         let mut session =
             SqlSession::new(db(), params).with_budget(rmdp_noise::PrivacyBudget::pure(2.0));
         let err = session
-            .query_scalar("SELECT SUM(amount) FROM payments")
+            .query("SELECT SUM(amount) FROM payments")
             .unwrap_err();
         assert!(matches!(err, SqlError::BadAggregate { .. }));
         assert_eq!(session.remaining_budget().unwrap().epsilon, 2.0);
@@ -1257,7 +959,9 @@ mod tests {
 
         // A succeeding query then debits exactly once.
         session
-            .query_scalar("SELECT COUNT(*) FROM payments")
+            .query("SELECT COUNT(*) FROM payments")
+            .unwrap()
+            .scalar()
             .unwrap();
         assert!((session.remaining_budget().unwrap().epsilon - 1.5).abs() < 1e-12);
     }
@@ -1274,8 +978,8 @@ mod tests {
         let mut plain = SqlSession::with_seed(db(), params, 11);
         let mut cached = SqlSession::with_seed(db(), params, 11).with_cache_capacity(16);
         for sql in queries {
-            let a = plain.query_scalar(sql).unwrap();
-            let b = cached.query_scalar(sql).unwrap();
+            let a = plain.query(sql).unwrap().scalar().unwrap();
+            let b = cached.query(sql).unwrap().scalar().unwrap();
             assert_eq!(a.noisy_answer, b.noisy_answer, "{sql}");
             assert_eq!(a.delta_hat, b.delta_hat, "{sql}");
             assert_eq!(a.x, b.x, "{sql}");
@@ -1291,10 +995,14 @@ mod tests {
         let params = MechanismParams::paper_edge_privacy(1.0);
         let mut session = SqlSession::new(db(), params).with_cache_capacity(8);
         session
-            .query_scalar("SELECT COUNT(*) FROM payments p WHERE p.amount > 0")
+            .query("SELECT COUNT(*) FROM payments p WHERE p.amount > 0")
+            .unwrap()
+            .scalar()
             .unwrap();
         session
-            .query_scalar("SELECT COUNT(*) FROM payments q WHERE q.amount > 0")
+            .query("SELECT COUNT(*) FROM payments q WHERE q.amount > 0")
+            .unwrap()
+            .scalar()
             .unwrap();
         let stats = session.cache_stats().unwrap();
         assert_eq!(stats.hits, 1);
@@ -1309,14 +1017,16 @@ mod tests {
             "SELECT COUNT(*) FROM payments",
             "SELECT COUNT(*) FROM payments WHERE amount > 0",
         ];
-        let baseline = SqlSession::with_seed(db(), params, 3)
-            .query_batch(&sqls)
-            .unwrap();
+        let baseline = scalars(
+            SqlSession::with_seed(db(), params, 3)
+                .query_batch(&sqls)
+                .unwrap(),
+        );
         for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
             let cache = rmdp_core::SequenceCache::shared(8);
             let mut session = SqlSession::with_seed(db(), params.with_parallelism(parallelism), 3)
                 .with_sequence_cache(Arc::clone(&cache));
-            let releases = session.query_batch(&sqls).unwrap();
+            let releases = scalars(session.query_batch(&sqls).unwrap());
             for (a, b) in baseline.iter().zip(&releases) {
                 assert_eq!(a.noisy_answer, b.noisy_answer, "{parallelism}");
                 assert_eq!(a.true_answer, b.true_answer);
@@ -1338,11 +1048,18 @@ mod tests {
         changed.insert_table("payments", KRelation::new(["person", "amount"]));
 
         let mut s1 = SqlSession::new(base, params).with_sequence_cache(Arc::clone(&cache));
-        s1.query_scalar("SELECT COUNT(*) FROM payments").unwrap();
+        s1.query("SELECT COUNT(*) FROM payments")
+            .unwrap()
+            .scalar()
+            .unwrap();
         // Different database value (clone has a fresh identity, and it was
         // mutated): the same SQL must miss, not reuse s1's sequences.
         let mut s2 = SqlSession::new(changed, params).with_sequence_cache(Arc::clone(&cache));
-        let release = s2.query_scalar("SELECT COUNT(*) FROM payments").unwrap();
+        let release = s2
+            .query("SELECT COUNT(*) FROM payments")
+            .unwrap()
+            .scalar()
+            .unwrap();
         assert_eq!(release.true_answer, 0.0, "empty table after mutation");
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 2);
@@ -1393,8 +1110,8 @@ mod tests {
         // Prime both entries under snapshot version 0.
         let mut s1 =
             SqlSession::over(Arc::clone(&snapshot), 7).with_sequence_cache(Arc::clone(&cache));
-        let v_before = s1.query_scalar(VISITS).unwrap();
-        s1.query_scalar(RESIDENTS).unwrap();
+        let v_before = s1.query(VISITS).unwrap().scalar().unwrap();
+        s1.query(RESIDENTS).unwrap().scalar().unwrap();
         assert_eq!(cache.stats().misses, 2);
 
         // Ingest one row (known owner) into `visits`: a new snapshot link;
@@ -1422,16 +1139,16 @@ mod tests {
 
         // In-flight sessions over the *old* snapshot keep releasing against
         // the data they were admitted under.
-        let held = s1.query_scalar(VISITS).unwrap();
+        let held = s1.query(VISITS).unwrap().scalar().unwrap();
         assert_eq!(held.true_answer, v_before.true_answer);
 
         // Over the new snapshot: the untouched table still hits, and the
         // touched table's miss claims the parked base (warm refresh).
         let mut s2 = SqlSession::over(Arc::clone(&next), 7).with_sequence_cache(Arc::clone(&cache));
         let hits_before = cache.stats().hits;
-        s2.query_scalar(RESIDENTS).unwrap();
+        s2.query(RESIDENTS).unwrap().scalar().unwrap();
         assert_eq!(cache.stats().hits, hits_before + 1);
-        let warm = s2.query_scalar(VISITS).unwrap();
+        let warm = s2.query(VISITS).unwrap().scalar().unwrap();
         assert_eq!(warm.true_answer, 3.0);
         assert_eq!(cache.banked_refresh_bases(), 0, "base was claimed");
 
@@ -1439,10 +1156,78 @@ mod tests {
         // cache, same seed, same query order) releases identically.
         let mut cold = SqlSession::over(Arc::clone(&next), 7)
             .with_sequence_cache(rmdp_core::SequenceCache::shared(8));
-        cold.query_scalar(RESIDENTS).unwrap();
-        let cold_visits = cold.query_scalar(VISITS).unwrap();
+        cold.query(RESIDENTS).unwrap().scalar().unwrap();
+        let cold_visits = cold.query(VISITS).unwrap().scalar().unwrap();
         assert_eq!(warm.noisy_answer, cold_visits.noisy_answer);
         assert_eq!(warm.true_answer, cold_visits.true_answer);
+    }
+
+    #[test]
+    fn grouped_refreshes_book_every_tier_under_its_own_counter() {
+        // A grouped report after an ingest refreshes each stale group from
+        // its parked base; each tier must land on its own counter.
+        let params = MechanismParams::paper_edge_privacy(1.0);
+        let mut db = delta_db();
+        db.declare_public_domain(
+            "visits",
+            "place",
+            [Value::str("museum"), Value::str("cafe"), Value::str("park")],
+        );
+        let snapshot = CatalogSnapshot::shared(db, params);
+        let cache = rmdp_core::SequenceCache::shared(16);
+        let metrics = Arc::new(MetricsRegistry::new());
+        let session = |snapshot: &Arc<CatalogSnapshot>| {
+            SqlSession::over(Arc::clone(snapshot), 9)
+                .with_sequence_cache(Arc::clone(&cache))
+                .with_metrics(Arc::clone(&metrics))
+        };
+        let tiers = || {
+            let snap = metrics.snapshot();
+            [
+                "lp.warm_refresh_unchanged",
+                "lp.warm_refresh_chains",
+                "lp.warm_refresh_cold",
+            ]
+            .map(|name| snap.counter(name).unwrap_or(0))
+        };
+        session(&snapshot).query(GROUPED_SQL).unwrap();
+        assert_eq!(tiers(), [0, 0, 0], "cold misses are not refreshes");
+
+        // A known owner visits the park: every group of `visits` is stale.
+        // Museum and cafe derive the same terms (Unchanged); the park group
+        // gains a term.
+        let next = snapshot
+            .with_delta(
+                "visits",
+                [Tuple::new([
+                    ("person", Value::str("ada")),
+                    ("place", Value::str("park")),
+                ])],
+            )
+            .unwrap();
+        assert_eq!(
+            cache.purge_stale(&next.database().current_epoch_stamps()),
+            3
+        );
+        session(&next).query(GROUPED_SQL).unwrap();
+        assert_eq!(tiers(), [2, 1, 0]);
+
+        // A new participant changes the universe: every group rebuilds.
+        let last = next
+            .with_delta(
+                "visits",
+                [Tuple::new([
+                    ("person", Value::str("cy")),
+                    ("place", Value::str("cafe")),
+                ])],
+            )
+            .unwrap();
+        assert_eq!(
+            cache.purge_stale(&last.database().current_epoch_stamps()),
+            3
+        );
+        session(&last).query(GROUPED_SQL).unwrap();
+        assert_eq!(tiers(), [2, 1, 3]);
     }
 
     /// Visits with a declared public domain over `place`, including a key
@@ -1479,7 +1264,7 @@ mod tests {
         let params = MechanismParams::paper_edge_privacy(1.2);
         let mut session =
             SqlSession::new(grouped_db(), params).with_budget(rmdp_noise::PrivacyBudget::pure(2.0));
-        let report = session.query_grouped(GROUPED_SQL).unwrap();
+        let report = session.query(GROUPED_SQL).unwrap().grouped().unwrap();
 
         assert_eq!(report.key_column, "place");
         assert_eq!(report.len(), 3, "every declared key releases");
@@ -1517,7 +1302,7 @@ mod tests {
         let mut session = SqlSession::new(grouped_db(), params)
             .with_group_policy(GroupBudgetPolicy::PerGroup)
             .with_budget(rmdp_noise::PrivacyBudget::pure(2.0));
-        let report = session.query_grouped(GROUPED_SQL).unwrap();
+        let report = session.query(GROUPED_SQL).unwrap().grouped().unwrap();
         assert!((report.per_group_epsilon - 0.5).abs() < 1e-12);
         assert!((report.epsilon_spent - 1.5).abs() < 1e-12);
         for g in &report.groups {
@@ -1527,7 +1312,7 @@ mod tests {
 
         // A second report needs another 1.5ε but only 0.5ε remains: refused
         // atomically, consuming nothing.
-        let err = session.query_grouped(GROUPED_SQL).unwrap_err();
+        let err = session.query(GROUPED_SQL).unwrap_err();
         match err {
             SqlError::BudgetExhausted(e) => {
                 assert!((e.requested.epsilon - 1.5).abs() < 1e-12);
@@ -1542,12 +1327,16 @@ mod tests {
     fn grouped_releases_are_bit_identical_across_parallelism_and_caching() {
         let params = MechanismParams::paper_edge_privacy(1.0);
         let baseline = SqlSession::with_seed(grouped_db(), params, 31)
-            .query_grouped(GROUPED_SQL)
+            .query(GROUPED_SQL)
+            .unwrap()
+            .grouped()
             .unwrap();
         for parallelism in [Parallelism::Threads(3), Parallelism::Auto] {
             let report =
                 SqlSession::with_seed(grouped_db(), params.with_parallelism(parallelism), 31)
-                    .query_grouped(GROUPED_SQL)
+                    .query(GROUPED_SQL)
+                    .unwrap()
+                    .grouped()
                     .unwrap();
             for (a, b) in baseline.groups.iter().zip(&report.groups) {
                 assert_eq!(a.key, b.key, "{parallelism}");
@@ -1561,7 +1350,9 @@ mod tests {
         }
         let cached = SqlSession::with_seed(grouped_db(), params, 31)
             .with_cache_capacity(8)
-            .query_grouped(GROUPED_SQL)
+            .query(GROUPED_SQL)
+            .unwrap()
+            .grouped()
             .unwrap();
         for (a, b) in baseline.groups.iter().zip(&cached.groups) {
             assert_eq!(
@@ -1578,7 +1369,9 @@ mod tests {
         // but must not change any key's released value.
         let params = MechanismParams::paper_edge_privacy(1.0);
         let forward = SqlSession::with_seed(grouped_db(), params, 7)
-            .query_grouped(GROUPED_SQL)
+            .query(GROUPED_SQL)
+            .unwrap()
+            .grouped()
             .unwrap();
         let mut db = grouped_db();
         db.declare_public_domain(
@@ -1587,7 +1380,9 @@ mod tests {
             [Value::str("park"), Value::str("cafe"), Value::str("museum")],
         );
         let reversed = SqlSession::with_seed(db, params, 7)
-            .query_grouped(GROUPED_SQL)
+            .query(GROUPED_SQL)
+            .unwrap()
+            .grouped()
             .unwrap();
         assert_eq!(
             reversed.groups[0].key,
@@ -1613,19 +1408,23 @@ mod tests {
 
         // Scalar queries warm two of the three group entries…
         session
-            .query_scalar("SELECT COUNT(*) FROM visits WHERE place = 'museum'")
+            .query("SELECT COUNT(*) FROM visits WHERE place = 'museum'")
+            .unwrap()
+            .scalar()
             .unwrap();
         session
-            .query_scalar("SELECT COUNT(*) FROM visits WHERE place = 'cafe'")
+            .query("SELECT COUNT(*) FROM visits WHERE place = 'cafe'")
+            .unwrap()
+            .scalar()
             .unwrap();
         assert_eq!(cache.stats().misses, 2);
 
         // …so the grouped report misses only on 'park', and a repeat of the
         // report is served entirely from the cache.
-        session.query_grouped(GROUPED_SQL).unwrap();
+        session.query(GROUPED_SQL).unwrap().grouped().unwrap();
         assert_eq!(cache.stats().misses, 3);
         assert_eq!(cache.stats().hits, 2);
-        session.query_grouped(GROUPED_SQL).unwrap();
+        session.query(GROUPED_SQL).unwrap().grouped().unwrap();
         assert_eq!(cache.stats().misses, 3);
         assert_eq!(cache.stats().hits, 5);
     }
@@ -1664,28 +1463,15 @@ mod tests {
         empty.declare_public_domain("visits", "place", []);
         let mut empty_session = SqlSession::new(empty, params);
         assert!(matches!(
-            empty_session.query_grouped(GROUPED_SQL).unwrap_err(),
+            empty_session.query(GROUPED_SQL).unwrap_err(),
             SqlError::UndeclaredGroupDomain { .. }
         ));
 
-        // Shape errors: grouped SQL in scalar entry points and vice versa.
-        let err = session.query_scalar(GROUPED_SQL).unwrap_err();
+        // The one shape error left: `evaluate` returns one relation, so it
+        // refuses grouped SQL with a span at its `GROUP BY`.
+        let err = session.evaluate(GROUPED_SQL).unwrap_err();
         assert!(matches!(err, SqlError::QueryShape { .. }));
-        assert!(err.span().is_some());
-        assert!(matches!(
-            session.query_batch(&[GROUPED_SQL]).unwrap_err(),
-            SqlError::QueryShape { .. }
-        ));
-        assert!(matches!(
-            session
-                .query_grouped("SELECT COUNT(*) FROM visits")
-                .unwrap_err(),
-            SqlError::QueryShape { .. }
-        ));
-        assert!(matches!(
-            session.evaluate(GROUPED_SQL).unwrap_err(),
-            SqlError::QueryShape { .. }
-        ));
+        assert_eq!(err.span().unwrap().slice(GROUPED_SQL), "GROUP BY place");
         assert_eq!(session.remaining_budget().unwrap().epsilon, 1.0);
     }
 
@@ -1731,7 +1517,7 @@ mod tests {
         let params = MechanismParams::paper_edge_privacy(1.0);
         let sql = "SELECT COUNT(*) FROM payments";
         let mut plain_session = SqlSession::with_seed(db(), params, 7);
-        let plain = plain_session.query_scalar(sql).unwrap();
+        let plain = plain_session.query(sql).unwrap().scalar().unwrap();
         let mut traced_session = SqlSession::with_seed(db(), params, 7);
         let traced = traced_session.query_traced(sql).unwrap();
         let release = traced.output.scalar().unwrap();
@@ -1807,10 +1593,10 @@ mod tests {
             })
             .with_metrics(Arc::clone(&metrics));
         let sql = "SELECT COUNT(*) FROM payments";
-        session.query_scalar(sql).unwrap();
-        session.query_scalar(sql).unwrap();
+        session.query(sql).unwrap().scalar().unwrap();
+        session.query(sql).unwrap().scalar().unwrap();
         // The third release would overdraw the 2.5ε budget.
-        assert!(session.query_scalar(sql).is_err());
+        assert!(session.query(sql).is_err());
 
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("budget.admitted"), Some(2));
@@ -1840,21 +1626,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_grouped_returns_per_key_relations() {
-        let session = SqlSession::new(grouped_db(), MechanismParams::paper_edge_privacy(1.0));
-        let groups = session.evaluate_grouped(GROUPED_SQL).unwrap();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].0, Value::str("museum"));
-        assert_eq!(groups[0].1.len(), 3);
-        assert_eq!(groups[2].0, Value::str("park"));
-        assert!(groups[2].1.is_empty());
-        assert!(matches!(
-            session.evaluate_grouped("SELECT COUNT(*) FROM visits"),
-            Err(SqlError::QueryShape { .. })
-        ));
-    }
-
-    #[test]
     fn reading_the_universe_does_not_evict_cached_sequences() {
         // The epoch-bump bugfix, observed end to end: lookups through
         // `universe()` and re-interning existing participants leave the
@@ -1864,13 +1635,21 @@ mod tests {
         let mut db = grouped_db();
         let mut session =
             SqlSession::new(db.clone(), params).with_sequence_cache(Arc::clone(&cache));
-        session.query_scalar("SELECT COUNT(*) FROM visits").unwrap();
+        session
+            .query("SELECT COUNT(*) FROM visits")
+            .unwrap()
+            .scalar()
+            .unwrap();
         assert_eq!(cache.stats().misses, 1);
 
         // Reads against the session's own database handle.
         assert!(session.database().universe().get("ada").is_some());
         let _ = session.database().universe().len();
-        session.query_scalar("SELECT COUNT(*) FROM visits").unwrap();
+        session
+            .query("SELECT COUNT(*) FROM visits")
+            .unwrap()
+            .scalar()
+            .unwrap();
         assert_eq!(cache.stats().misses, 1, "reads must not invalidate");
         assert_eq!(cache.stats().hits, 1);
 
@@ -1893,30 +1672,8 @@ mod tests {
     fn invalid_params_surface_as_mechanism_errors() {
         let params = MechanismParams::new(0.0, 0.5, 0.1, 1.0, 0.5);
         let mut session = SqlSession::new(db(), params);
-        let err = session
-            .query_scalar("SELECT COUNT(*) FROM payments")
-            .unwrap_err();
+        let err = session.query("SELECT COUNT(*) FROM payments").unwrap_err();
         assert!(matches!(err, SqlError::Mechanism(_)));
-    }
-
-    #[test]
-    fn query_batch_rejects_grouped_plans_with_a_spanned_shape_error() {
-        // The scalar-only batch stays scalar-only: a GROUP BY item is a
-        // shape error pointing at the grouping key, never a silent scalar.
-        let params = MechanismParams::paper_edge_privacy(1.0);
-        let mut session =
-            SqlSession::new(grouped_db(), params).with_budget(rmdp_noise::PrivacyBudget::pure(5.0));
-        let err = session
-            .query_batch(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
-            .unwrap_err();
-        match err {
-            SqlError::QueryShape { message, span } => {
-                assert!(message.contains("query_batch"), "{message}");
-                assert!(span.start < span.end, "span must point at the key");
-            }
-            other => panic!("expected QueryShape, got {other:?}"),
-        }
-        assert_eq!(session.remaining_budget().unwrap().epsilon, 5.0);
     }
 
     #[test]
@@ -1927,15 +1684,15 @@ mod tests {
         let mut session =
             SqlSession::new(grouped_db(), params).with_budget(rmdp_noise::PrivacyBudget::pure(5.0));
         let releases = session
-            .query_batch_mixed(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
+            .query_batch(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
             .unwrap();
         assert_eq!(releases.len(), 2);
         match &releases[0] {
-            BatchRelease::Scalar(r) => assert_eq!(r.true_answer, 5.0),
+            QueryOutput::Scalar(r) => assert_eq!(r.true_answer, 5.0),
             other => panic!("expected scalar, got {other:?}"),
         }
         match &releases[1] {
-            BatchRelease::Grouped(report) => {
+            QueryOutput::Grouped(report) => {
                 assert_eq!(report.len(), 3, "every declared key releases");
                 assert_eq!(report.get(&Value::str("museum")).unwrap().true_answer, 3.0);
                 assert_eq!(report.get(&Value::str("park")).unwrap().true_answer, 0.0);
@@ -1956,27 +1713,27 @@ mod tests {
         ];
         let runs = [
             SqlSession::with_seed(grouped_db(), params, 23)
-                .query_batch_mixed(&sqls)
+                .query_batch(&sqls)
                 .unwrap(),
             SqlSession::with_seed(
                 grouped_db(),
-                params.with_parallelism(rmdp_core::Parallelism::Threads(4)),
+                params.with_parallelism(Parallelism::Threads(4)),
                 23,
             )
-            .query_batch_mixed(&sqls)
+            .query_batch(&sqls)
             .unwrap(),
             SqlSession::with_seed(grouped_db(), params, 23)
                 .with_sequence_cache(rmdp_core::SequenceCache::shared(16))
-                .query_batch_mixed(&sqls)
+                .query_batch(&sqls)
                 .unwrap(),
         ];
         for run in &runs[1..] {
             for (a, b) in runs[0].iter().zip(run) {
                 match (a, b) {
-                    (BatchRelease::Scalar(x), BatchRelease::Scalar(y)) => {
+                    (QueryOutput::Scalar(x), QueryOutput::Scalar(y)) => {
                         assert_eq!(x.noisy_answer, y.noisy_answer);
                     }
-                    (BatchRelease::Grouped(x), BatchRelease::Grouped(y)) => {
+                    (QueryOutput::Grouped(x), QueryOutput::Grouped(y)) => {
                         for (gx, gy) in x.groups.iter().zip(&y.groups) {
                             assert_eq!(gx.key, gy.key);
                             assert_eq!(gx.release.noisy_answer, gy.release.noisy_answer);
@@ -1997,7 +1754,7 @@ mod tests {
             .with_group_policy(GroupBudgetPolicy::PerGroup)
             .with_budget(rmdp_noise::PrivacyBudget::pure(3.5));
         let err = session
-            .query_batch_mixed(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
+            .query_batch(&["SELECT COUNT(*) FROM visits", GROUPED_SQL])
             .unwrap_err();
         match err {
             SqlError::BudgetExhausted(e) => {

@@ -40,6 +40,7 @@ use crate::plan::{plan, AnyPlan};
 use rmdp_core::MechanismParams;
 use rmdp_krelation::annotate::AnnotatedDatabase;
 use rmdp_krelation::tuple::Tuple;
+use rmdp_noise::{GroupBudgetPolicy, PrivacyBudget};
 use std::sync::Arc;
 
 /// The immutable catalog + planner + parameter bundle shared by all
@@ -66,9 +67,10 @@ use std::sync::Arc;
 /// // fingerprints agree because the database identity is shared.
 /// let mut a = SqlSession::over(std::sync::Arc::clone(&snapshot), 1);
 /// let mut b = SqlSession::over(std::sync::Arc::clone(&snapshot), 2);
+/// let sql = "SELECT COUNT(*) FROM visits";
 /// assert_eq!(
-///     a.query_scalar("SELECT COUNT(*) FROM visits").unwrap().true_answer,
-///     b.query_scalar("SELECT COUNT(*) FROM visits").unwrap().true_answer,
+///     a.query(sql).unwrap().scalar().unwrap().true_answer,
+///     b.query(sql).unwrap().scalar().unwrap().true_answer,
 /// );
 /// ```
 #[derive(Debug)]
@@ -138,5 +140,20 @@ impl CatalogSnapshot {
     /// without touching the data — usable from any thread, concurrently.
     pub fn plan(&self, sql: &str) -> Result<AnyPlan, SqlError> {
         plan(&self.db, sql)
+    }
+
+    /// The ε price of releasing `plan` under sequential composition — the
+    /// one pricing rule every session, batch and server admits against. A
+    /// scalar release costs `ε₁ + ε₂`; a grouped report costs what `policy`
+    /// prices `k` groups at ([`GroupBudgetPolicy::report_cost`]).
+    pub fn price(&self, plan: &AnyPlan, policy: GroupBudgetPolicy) -> PrivacyBudget {
+        let per_release = PrivacyBudget {
+            epsilon: self.params.total_epsilon(),
+            delta: 0.0,
+        };
+        match plan {
+            AnyPlan::Scalar(_) => per_release,
+            AnyPlan::Grouped(g) => policy.report_cost(per_release, g.num_groups()),
+        }
     }
 }

@@ -148,7 +148,11 @@ fn main() {
     println!("query output ({} rows):", sql_output.len());
     println!("{sql_output:?}");
 
-    let release = session.query_scalar(SQL).expect("release");
+    let release = session
+        .query(SQL)
+        .expect("release")
+        .scalar()
+        .expect("a COUNT(*) without GROUP BY releases one value");
     assert_eq!(release.true_answer, hand_built.len() as f64);
     println!("true count                 : {}", release.true_answer);
     println!("released (1-DP)            : {:.2}", release.noisy_answer);
@@ -161,7 +165,11 @@ fn main() {
     // per venue (ε/k each under the default SplitEvenly policy), covering
     // every declared key — the unvisited stadium releases a noised zero.
     let grouped_sql = "SELECT place, COUNT(*) FROM visits GROUP BY place";
-    let report = session.query_grouped(grouped_sql).expect("grouped release");
+    let report = session
+        .query(grouped_sql)
+        .expect("grouped release")
+        .grouped()
+        .expect("a GROUP BY query releases a grouped report");
     println!(
         "\n{grouped_sql}\n  → {} groups at ε = {} each ({} total):",
         report.len(),

@@ -69,14 +69,18 @@
 //! db.declare_public_domain("visits", "place", [Value::str("museum"), Value::str("cafe")]);
 //! let mut session = SqlSession::new(db, MechanismParams::paper_edge_privacy(1.0));
 //! let release = session
-//!     .query_scalar("SELECT COUNT(*) FROM visits v1 JOIN visits v2 ON v1.place = v2.place \
+//!     .query("SELECT COUNT(*) FROM visits v1 JOIN visits v2 ON v1.place = v2.place \
 //!             WHERE v1.person < v2.person")
+//!     .unwrap()
+//!     .scalar()
 //!     .unwrap();
 //! assert_eq!(release.true_answer, 1.0);
 //!
 //! // A GROUP BY report over the declared public domain: one release per key.
 //! let report = session
-//!     .query_grouped("SELECT place, COUNT(*) FROM visits GROUP BY place")
+//!     .query("SELECT place, COUNT(*) FROM visits GROUP BY place")
+//!     .unwrap()
+//!     .grouped()
 //!     .unwrap();
 //! assert_eq!(report.len(), 2);
 //! assert_eq!(report.get(&Value::str("museum")).unwrap().true_answer, 2.0);

@@ -54,7 +54,9 @@ fn visits_db(domain_order: &[usize]) -> AnnotatedDatabase {
 fn grouped_reports_are_bit_identical_across_parallelism_settings() {
     let params = MechanismParams::paper_edge_privacy(1.0);
     let baseline = SqlSession::with_seed(visits_db(&[0, 1, 2, 3]), params, 4242)
-        .query_grouped(GROUPED_SQL)
+        .query(GROUPED_SQL)
+        .unwrap()
+        .grouped()
         .unwrap();
     assert_eq!(baseline.len(), 4);
     for parallelism in [
@@ -67,7 +69,9 @@ fn grouped_reports_are_bit_identical_across_parallelism_settings() {
             params.with_parallelism(parallelism),
             4242,
         )
-        .query_grouped(GROUPED_SQL)
+        .query(GROUPED_SQL)
+        .unwrap()
+        .grouped()
         .unwrap();
         for (a, b) in baseline.groups.iter().zip(&report.groups) {
             assert_eq!(a.key, b.key, "{parallelism}");
@@ -95,10 +99,14 @@ proptest! {
     ) {
         let params = MechanismParams::paper_edge_privacy(1.0);
         let canonical = SqlSession::with_seed(visits_db(&[0, 1, 2, 3]), params, seed)
-            .query_grouped(GROUPED_SQL)
+            .query(GROUPED_SQL)
+            .unwrap()
+            .grouped()
             .unwrap();
         let permuted = SqlSession::with_seed(visits_db(&order), params, seed)
-            .query_grouped(GROUPED_SQL)
+            .query(GROUPED_SQL)
+            .unwrap()
+            .grouped()
             .unwrap();
         // Rows follow the declared order…
         for (slot, &i) in order.iter().enumerate() {
@@ -127,8 +135,8 @@ proptest! {
         let mut cached = SqlSession::with_seed(visits_db(&[0, 1, 2, 3]), params, seed)
             .with_sequence_cache(Arc::clone(&cache));
         for round in 0..3 {
-            let a = cold.query_grouped(GROUPED_SQL).unwrap();
-            let b = cached.query_grouped(GROUPED_SQL).unwrap();
+            let a = cold.query(GROUPED_SQL).unwrap().grouped().unwrap();
+            let b = cached.query(GROUPED_SQL).unwrap().grouped().unwrap();
             for (ga, gb) in a.groups.iter().zip(&b.groups) {
                 prop_assert_eq!(&ga.key, &gb.key);
                 prop_assert_eq!(
@@ -167,7 +175,7 @@ proptest! {
         let mut session = SqlSession::new(visits_db(&[0, 1, 2, 3]), params)
             .with_group_policy(policy)
             .with_budget(PrivacyBudget::pure(total));
-        let err = session.query_grouped(GROUPED_SQL).unwrap_err();
+        let err = session.query(GROUPED_SQL).unwrap_err();
         prop_assert!(matches!(err, SqlError::BudgetExhausted(_)), "{err:?}");
         prop_assert_eq!(session.remaining_budget().unwrap().epsilon, total);
 
@@ -175,7 +183,7 @@ proptest! {
             // Under PerGroup a single scalar release (ε ≤ 3.5ε) still fits
             // and debits exactly ε.
             GroupBudgetPolicy::PerGroup => {
-                session.query_scalar("SELECT COUNT(*) FROM visits").unwrap();
+                session.query("SELECT COUNT(*) FROM visits").unwrap().scalar().unwrap();
                 let left = session.remaining_budget().unwrap().epsilon;
                 prop_assert!((left - (total - epsilon)).abs() < 1e-9);
             }
@@ -183,9 +191,7 @@ proptest! {
             // release, so the scalar is refused too — and still consumes
             // nothing.
             GroupBudgetPolicy::SplitEvenly => {
-                let err = session
-                    .query_scalar("SELECT COUNT(*) FROM visits")
-                    .unwrap_err();
+                let err = session.query("SELECT COUNT(*) FROM visits").unwrap_err();
                 prop_assert!(matches!(err, SqlError::BudgetExhausted(_)));
                 prop_assert_eq!(session.remaining_budget().unwrap().epsilon, total);
             }
@@ -202,7 +208,7 @@ fn grouped_and_scalar_sessions_share_one_cache() {
     let cache = SequenceCache::shared(16);
     let mut grouped = SqlSession::with_seed(visits_db(&[0, 1, 2, 3]), params, 1)
         .with_sequence_cache(Arc::clone(&cache));
-    grouped.query_grouped(GROUPED_SQL).unwrap();
+    grouped.query(GROUPED_SQL).unwrap().grouped().unwrap();
     assert_eq!(cache.stats().misses, 4);
 
     let scalar_queries: Vec<String> = PLACES

@@ -19,7 +19,7 @@ use recursive_mechanism_dp::core::general::GeneralSequences;
 use recursive_mechanism_dp::core::params::MechanismParams;
 use recursive_mechanism_dp::core::sequences::MechanismSequences;
 use recursive_mechanism_dp::core::subgraph::{PrivacyUnit, SubgraphCounter};
-use recursive_mechanism_dp::core::{Parallelism, RecursiveMechanism, SensitiveKRelation};
+use recursive_mechanism_dp::core::{Parallelism, RecursiveMechanism, Release, SensitiveKRelation};
 use recursive_mechanism_dp::graph::{generators, Pattern};
 use recursive_mechanism_dp::krelation::annotate::AnnotatedDatabase;
 use recursive_mechanism_dp::krelation::tuple::{Tuple, Value};
@@ -148,20 +148,26 @@ const BATCH: [&str; 3] = [
     "SELECT COUNT(*) FROM visits v1 JOIN visits v2 ON v1.place = v2.place WHERE v1.person < v2.person",
 ];
 
+/// The scalar releases of one batch run of [`BATCH`].
+fn batch_releases(params: MechanismParams) -> Vec<Release> {
+    SqlSession::with_seed(visits_db(), params, 99)
+        .query_batch(&BATCH)
+        .unwrap()
+        .into_iter()
+        .map(|output| output.scalar().unwrap())
+        .collect()
+}
+
 #[test]
 fn sql_batch_is_bit_identical_across_parallelism_settings() {
     let params = MechanismParams::paper_edge_privacy(1.0);
-    let serial = SqlSession::with_seed(visits_db(), params, 99)
-        .query_batch(&BATCH)
-        .unwrap();
+    let serial = batch_releases(params);
     for parallelism in [
         Parallelism::Threads(2),
         Parallelism::Threads(8),
         Parallelism::Auto,
     ] {
-        let parallel = SqlSession::with_seed(visits_db(), params.with_parallelism(parallelism), 99)
-            .query_batch(&BATCH)
-            .unwrap();
+        let parallel = batch_releases(params.with_parallelism(parallelism));
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.noisy_answer, b.noisy_answer);
             assert_eq!(a.true_answer, b.true_answer);
@@ -204,9 +210,7 @@ fn over_budget_batch_is_rejected_without_consuming_epsilon() {
         SqlError::BudgetExhausted(_)
     ));
     assert!(matches!(
-        session
-            .query_scalar("SELECT COUNT(*) FROM visits")
-            .unwrap_err(),
+        session.query("SELECT COUNT(*) FROM visits").unwrap_err(),
         SqlError::BudgetExhausted(_)
     ));
 }
@@ -426,8 +430,8 @@ proptest! {
         let mut cached = SqlSession::with_seed(visits_db(), params, seed)
             .with_sequence_cache(Arc::clone(&cache));
         for sql in queries {
-            let a = cold.query_scalar(sql).unwrap();
-            let b = cached.query_scalar(sql).unwrap();
+            let a = cold.query(sql).unwrap().scalar().unwrap();
+            let b = cached.query(sql).unwrap().scalar().unwrap();
             prop_assert_eq!(a.noisy_answer.to_bits(), b.noisy_answer.to_bits(), "{}", sql);
             prop_assert_eq!(a.delta_hat.to_bits(), b.delta_hat.to_bits(), "{}", sql);
             prop_assert_eq!(a.x.to_bits(), b.x.to_bits(), "{}", sql);
@@ -458,7 +462,7 @@ fn permuted_self_join_renderings_share_one_cache_entry() {
     ];
     let releases: Vec<_> = renderings
         .iter()
-        .map(|sql| session.query_scalar(sql).unwrap())
+        .map(|sql| session.query(sql).unwrap().scalar().unwrap())
         .collect();
     assert_eq!(cache.len(), 1, "all renderings share one entry");
     assert_eq!(cache.stats().misses, 1);

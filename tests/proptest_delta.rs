@@ -119,7 +119,7 @@ proptest! {
         let mut warmup = SqlSession::over(Arc::clone(&snapshot), 7)
             .with_sequence_cache(Arc::clone(&cache));
         for (sql, _) in &queries {
-            warmup.query_scalar(sql).unwrap();
+            warmup.query(sql).unwrap().scalar().unwrap();
         }
         let primed = cache.stats();
         prop_assert_eq!(primed.misses as usize, queries.len(), "all cold at first");
@@ -137,7 +137,7 @@ proptest! {
             .with_sequence_cache(Arc::clone(&cache));
         for (sql, scans) in &queries {
             let before = cache.stats();
-            session.query_scalar(sql).unwrap();
+            session.query(sql).unwrap().scalar().unwrap();
             let after = cache.stats();
             let stale = scans.iter().any(|t| mutated.contains(t));
             if stale {
@@ -167,7 +167,7 @@ proptest! {
             let mut warmup = SqlSession::over(Arc::clone(&snapshot), 3)
                 .with_sequence_cache(Arc::clone(&cache));
             for (sql, _) in &queries {
-                warmup.query_scalar(sql).unwrap();
+                warmup.query(sql).unwrap().scalar().unwrap();
             }
             let (next, _) = apply_mutations(&snapshot, &mutations);
             cache.purge_stale(&next.database().current_epoch_stamps());
@@ -178,8 +178,8 @@ proptest! {
             // Cold path: same snapshot, same seed, empty-cache recompute.
             let mut cold = SqlSession::over(Arc::clone(&next), seed);
             for (sql, _) in &queries {
-                let w = warm.query_scalar(sql).unwrap();
-                let c = cold.query_scalar(sql).unwrap();
+                let w = warm.query(sql).unwrap().scalar().unwrap();
+                let c = cold.query(sql).unwrap().scalar().unwrap();
                 prop_assert_eq!(w.true_answer.to_bits(), c.true_answer.to_bits());
                 prop_assert!(
                     w.noisy_answer.to_bits() == c.noisy_answer.to_bits(),

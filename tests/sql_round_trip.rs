@@ -114,7 +114,7 @@ fn four_way_self_join_matches_hand_built_algebra() {
     );
 
     // And the DP release reports the same true answer.
-    let release = session.query_scalar(sql).unwrap();
+    let release = session.query(sql).unwrap().scalar().unwrap();
     assert_eq!(release.true_answer, hand_built.len() as f64);
     assert!(release.noisy_answer.is_finite());
     assert!(release.delta_hat > 0.0);
@@ -161,7 +161,9 @@ fn sum_aggregate_matches_hand_computed_weights() {
 
     let mut session = SqlSession::with_seed(db, MechanismParams::paper_edge_privacy(1.0), 3);
     let release = session
-        .query_scalar("SELECT SUM(distance) FROM trips WHERE distance > 1")
+        .query("SELECT SUM(distance) FROM trips WHERE distance > 1")
+        .unwrap()
+        .scalar()
         .unwrap();
     assert_eq!(release.true_answer, 20.0);
 }

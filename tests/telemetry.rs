@@ -13,7 +13,7 @@
 //!   snapshot JSON round-trips.
 
 use proptest::prelude::*;
-use recursive_mechanism_dp::core::{MechanismParams, Parallelism};
+use recursive_mechanism_dp::core::{MechanismParams, Parallelism, Release};
 use recursive_mechanism_dp::krelation::annotate::AnnotatedDatabase;
 use recursive_mechanism_dp::krelation::tuple::{Tuple, Value};
 use recursive_mechanism_dp::krelation::{Expr, KRelation};
@@ -24,54 +24,57 @@ use std::sync::Arc;
 
 const SCALAR_SQL: &str = "SELECT COUNT(*) FROM visits WHERE place = 'museum'";
 const GROUPED_SQL: &str = "SELECT place, COUNT(*) FROM visits GROUP BY place";
+const JOIN_SQL: &str = "SELECT COUNT(*) FROM visits v1 JOIN visits v2 ON v1.place = v2.place \
+                        WHERE v1.person < v2.person";
 
 /// A small visits database with a declared public domain for the group key.
 fn visits_db() -> AnnotatedDatabase {
+    visits_db_with(&[(0, 0), (1, 0), (1, 1), (2, 1), (3, 2)])
+}
+
+/// A visits table with one row per `(person, place)` index pair, each
+/// annotated with its visitor, over the declared places.
+fn visits_db_with(rows: &[(usize, usize)]) -> AnnotatedDatabase {
+    const PEOPLE: [&str; 5] = ["ada", "bo", "cy", "dee", "eve"];
+    const PLACES: [&str; 3] = ["museum", "cafe", "park"];
     let mut db = AnnotatedDatabase::new();
     let mut visits = KRelation::new(["person", "place"]);
-    for (person, place) in [
-        ("ada", "museum"),
-        ("bo", "museum"),
-        ("bo", "cafe"),
-        ("cy", "cafe"),
-        ("dee", "park"),
-    ] {
-        let p = db.intern(person);
+    for &(person, place) in rows {
+        let p = db.intern(PEOPLE[person]);
         visits.insert(
-            Tuple::new([("person", Value::str(person)), ("place", Value::str(place))]),
+            Tuple::new([
+                ("person", Value::str(PEOPLE[person])),
+                ("place", Value::str(PLACES[place])),
+            ]),
             Expr::Var(p),
         );
     }
     db.insert_table("visits", visits);
-    db.declare_public_domain(
-        "visits",
-        "place",
-        [Value::str("museum"), Value::str("cafe"), Value::str("park")],
-    );
+    db.declare_public_domain("visits", "place", PLACES.map(Value::str));
     db
+}
+
+/// Every release of an output, in a fixed order.
+fn releases(output: QueryOutput) -> Vec<Release> {
+    match output {
+        QueryOutput::Scalar(r) => vec![r],
+        QueryOutput::Grouped(g) => g.groups.into_iter().map(|group| group.release).collect(),
+        QueryOutput::Explained(t) => releases(t.output),
+    }
 }
 
 /// Every released value of an output, as raw bits, in a fixed order.
 fn release_bits(output: QueryOutput) -> Vec<[u64; 3]> {
-    match output {
-        QueryOutput::Scalar(r) => vec![[
-            r.noisy_answer.to_bits(),
-            r.delta_hat.to_bits(),
-            r.x.to_bits(),
-        ]],
-        QueryOutput::Grouped(g) => g
-            .groups
-            .into_iter()
-            .map(|group| {
-                [
-                    group.release.noisy_answer.to_bits(),
-                    group.release.delta_hat.to_bits(),
-                    group.release.x.to_bits(),
-                ]
-            })
-            .collect(),
-        QueryOutput::Explained(t) => release_bits(t.output),
-    }
+    releases(output)
+        .into_iter()
+        .map(|r| {
+            [
+                r.noisy_answer.to_bits(),
+                r.delta_hat.to_bits(),
+                r.x.to_bits(),
+            ]
+        })
+        .collect()
 }
 
 #[test]
@@ -132,7 +135,7 @@ fn lp_totals_fold_deterministically() {
             session
                 .query_batch(&[SCALAR_SQL, "SELECT COUNT(*) FROM visits", SCALAR_SQL])
                 .unwrap();
-            session.query_grouped(GROUPED_SQL).unwrap();
+            session.query(GROUPED_SQL).unwrap().grouped().unwrap();
             session.lp_totals()
         };
         let (a, b) = (run(), run());
@@ -150,7 +153,7 @@ fn metrics_counters_are_monotone_and_the_snapshot_json_round_trips() {
             .with_metrics(Arc::clone(&metrics));
     let mut last: Option<MetricsSnapshot> = None;
     for _ in 0..3 {
-        session.query_scalar(SCALAR_SQL).unwrap();
+        session.query(SCALAR_SQL).unwrap().scalar().unwrap();
         session.query_traced(GROUPED_SQL).unwrap();
         let snap = metrics.snapshot();
         if let Some(prev) = &last {
@@ -216,5 +219,48 @@ proptest! {
         // The trace serialises to parseable JSON and renders.
         prop_assert!(parse_json(&trace.to_json()).is_ok());
         prop_assert!(trace.render().starts_with("EXPLAIN ANALYZE"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// No release is ever non-finite and no noise scale collapses to zero,
+    /// whichever entry point releases it: over random seeds, budgets and
+    /// small owner-annotated tables (empty ones included), every scalar
+    /// and grouped release from `query`, `query_traced` and `query_batch`
+    /// has a finite answer and clipped estimate, a finite positive `Δ̂`,
+    /// and traces whose noise scales are finite and positive.
+    #[test]
+    fn every_release_is_finite_with_positive_noise_scales(
+        seed in any::<u64>(),
+        rows in proptest::collection::vec((0..5usize, 0..3usize), 0..8),
+        epsilon in 0.2f64..4.0,
+        cached in any::<bool>(),
+    ) {
+        let params = MechanismParams::paper_edge_privacy(epsilon);
+        let mut session = SqlSession::with_seed(visits_db_with(&rows), params, seed);
+        if cached {
+            session = session.with_cache_capacity(8);
+        }
+        let mut released = Vec::new();
+        for sql in [SCALAR_SQL, GROUPED_SQL, JOIN_SQL] {
+            released.extend(releases(session.query(sql).unwrap()));
+            let traced = session.query_traced(sql).unwrap();
+            for n in &traced.trace.noise {
+                prop_assert!(n.log_scale.is_finite() && n.log_scale > 0.0, "{sql}: {n:?}");
+                prop_assert!(n.answer_scale.is_finite() && n.answer_scale > 0.0, "{sql}: {n:?}");
+            }
+            released.extend(releases(traced.output));
+        }
+        for output in session.query_batch(&[SCALAR_SQL, GROUPED_SQL, JOIN_SQL]).unwrap() {
+            released.extend(releases(output));
+        }
+        prop_assert_eq!(released.len(), 3 * (1 + 3 + 1));
+        for r in &released {
+            prop_assert!(r.noisy_answer.is_finite(), "{r:?}");
+            prop_assert!(r.x.is_finite(), "{r:?}");
+            prop_assert!(r.delta_hat.is_finite() && r.delta_hat > 0.0, "{r:?}");
+        }
     }
 }
